@@ -37,6 +37,16 @@ tombstones and rebuilds minimal labels; the ``dirt_ratio`` property is
 what :class:`repro.live.index.LiveIndex` watches to schedule that
 recompile in the background.
 
+**Derived state** — the oracle owns what its consumers would otherwise
+recompute from the whole graph on every batch: longest-path-to-sink
+:attr:`DynamicDL.heights` of the ghost graph (an inserted edge only
+ever *raises* heights, relaxed upward through ``in_adj``; tombstoned
+edges stay in the ghost graph, so heights never fall between
+rebuilds), a running label-size counter, and the rows touched since
+the incremental compiler last called :meth:`DynamicDL.drain_touched`.
+Every update path — scalar, batched on either backend — keeps all
+three exact, so a 5-edge batch costs its cone, not the graph.
+
 The trade-off versus a rebuild is the one the paper would expect:
 updates are cheap but the labeling loses Theorem 4's non-redundancy —
 labels grow monotonically over a long insert stream.
@@ -51,6 +61,7 @@ from typing import Dict, Iterable, List, Optional, Tuple
 
 from ..graph.digraph import DiGraph
 from ..kernels import numpy_or_none, resolve_backend
+from ..kernels.grail import compute_heights
 from ..kernels.dynamic import (
     CycleInBatch,
     TombstoneFilter,
@@ -125,7 +136,6 @@ class DynamicDL:
         self._order = order
         self.auto_rebuild_factor = auto_rebuild_factor
         self._backend = backend
-        self._inserts_since_rebuild = 0
         self._removed: set = set()
         self._filter: Optional[TombstoneFilter] = None
         self._counters = _fresh_counters()
@@ -165,8 +175,7 @@ class DynamicDL:
         self._labels = copy
         self._rank = list(index.rank)
         self._order_list = list(index.order_list)
-        self._base_size = max(1, index.index_size_ints())
-        self._inserts_since_rebuild = 0
+        self._reset_derived(index.index_size_ints())
         return True
 
     # ------------------------------------------------------------------
@@ -176,8 +185,17 @@ class DynamicDL:
         self._labels = dl.labels
         self._rank = dl.rank
         self._order_list = dl.order_list
-        self._base_size = max(1, dl.index_size_ints())
+        self._reset_derived(dl.index_size_ints())
+
+    def _reset_derived(self, size_ints: int) -> None:
+        """Recompute the maintained state after the labels were replaced."""
+        self._size_ints = size_ints
+        self._base_size = max(1, size_ints)
         self._inserts_since_rebuild = 0
+        self._heights = compute_heights(self._graph)
+        self._rebuilt = True
+        self._lin_touched: set = set()
+        self._out_touched: set = set()
 
     # ------------------------------------------------------------------
     # Queries
@@ -235,6 +253,47 @@ class DynamicDL:
         return (u, v) in self._removed
 
     @property
+    def tombstone_count(self) -> int:
+        """How many edges are currently tombstoned."""
+        return len(self._removed)
+
+    @property
+    def compacts(self) -> int:
+        """How many :meth:`compact` calls dropped tombstones so far."""
+        return self._counters["compacts"]
+
+    @property
+    def inserts_since_rebuild(self) -> int:
+        """Novel edges flooded since the labels were last rebuilt minimal."""
+        return self._inserts_since_rebuild
+
+    @property
+    def heights(self) -> List[int]:
+        """Longest-path-to-sink height per vertex of the ghost graph.
+
+        Always equal to ``compute_heights(self.graph)`` (read-only by
+        contract); the batch flood orders its levels by it and the
+        incremental compiler packs it as the engine's height filter.
+        """
+        return self._heights
+
+    def drain_touched(self) -> Optional[Tuple[set, set]]:
+        """Rows changed since the last drain, handing them to the caller.
+
+        Returns ``(lin_rows, out_rows)``: the vertices whose ``Lin``
+        may have changed, and those whose *live* out-adjacency changed
+        (an edge added, tombstoned or resurrected at that source) — or
+        ``None`` when the labels were rebuilt in between, i.e. every
+        row of everything changed.  This is what lets the incremental
+        compiler splice a publish instead of re-flattening the graph.
+        """
+        rows = None if self._rebuilt else (self._lin_touched, self._out_touched)
+        self._rebuilt = False
+        self._lin_touched = set()
+        self._out_touched = set()
+        return rows
+
+    @property
     def dirt_ratio(self) -> float:
         """Tombstoned fraction of the ghost edge set.
 
@@ -290,8 +349,31 @@ class DynamicDL:
         return [self.query(u, v) for u, v in pairs]
 
     def index_size_ints(self) -> int:
-        """Current label size in stored integers."""
-        return self._labels.size_ints()
+        """Current label size in stored integers (a running counter)."""
+        return self._size_ints
+
+    def _add_ghost_edge(self, u: int, v: int) -> None:
+        """Add ``u -> v`` to the ghost graph, keeping heights exact.
+
+        ``height[u] = max(height[u], height[v] + 1)``, relaxed upward
+        through ``in_adj`` for as long as an ancestor's height rises —
+        the longest path to a sink can only grow under insertion.
+        """
+        self._graph.add_edge(u, v)
+        self._out_touched.add(u)
+        height = self._heights
+        if height[v] < height[u]:
+            return
+        height[u] = height[v] + 1
+        in_adj = self._graph.in_adj
+        stack = [u]
+        while stack:
+            w = stack.pop()
+            above = height[w] + 1
+            for p in in_adj[w]:
+                if height[p] < above:
+                    height[p] = above
+                    stack.append(p)
 
     # ------------------------------------------------------------------
     # Updates: insertion
@@ -318,6 +400,7 @@ class DynamicDL:
             changed = not self.query(u, v)
             self._removed.discard((u, v))
             self._filter = None
+            self._out_touched.add(u)
             self._counters["resurrected"] += 1
             return changed
         if self._label_reach(v, u):
@@ -331,7 +414,7 @@ class DynamicDL:
         live_already = already_reachable and (
             not self._removed or self.query(u, v)
         )
-        self._graph.add_edge(u, v)
+        self._add_ghost_edge(u, v)
         if already_reachable:
             # The edge adds no new ghost pairs; labels stay valid.  It
             # may still create *live* pairs when tombstones hid the old
@@ -353,7 +436,9 @@ class DynamicDL:
         while qi < len(frontier):
             w = frontier[qi]
             qi += 1
-            lin[w] = merge_sorted(lin[w], addition)
+            merged = merge_sorted(lin[w], addition)
+            self._size_ints += len(merged) - len(lin[w])
+            lin[w] = merged
             # Keep the sealed bigint mask coherent with the merged list.
             labels.or_in_mask(w, add_mask)
             for x in out_adj[w]:
@@ -361,6 +446,7 @@ class DynamicDL:
                     seen.add(x)
                     frontier.append(x)
 
+        self._lin_touched.update(frontier)
         self._counters["novel"] += 1
         self._counters["frontier_vertices"] += len(frontier)
         self._counters["labels_merged"] += len(frontier)
@@ -452,6 +538,7 @@ class DynamicDL:
                     changed += 1
                 self._removed.discard((u, v))
                 self._filter = None
+                self._out_touched.add(u)
                 summary["resurrected"] += 1
                 counters["resurrected"] += 1
                 continue
@@ -460,7 +547,7 @@ class DynamicDL:
                 # Ghost-reachable but live-unreachable: the new edge
                 # changes live answers even though labels stay put.
                 changed += 1
-            self._graph.add_edge(u, v)
+            self._add_ghost_edge(u, v)
             summary[kind] += 1
             counters[kind] += 1
 
@@ -486,12 +573,20 @@ class DynamicDL:
 
         if np_mod is not None:
             stats = flood_batch_numpy(
-                np_mod, self._graph, novel_edges, additions, add_masks, self._labels
+                np_mod,
+                self._graph.out_adj,
+                self._heights,
+                novel_edges,
+                additions,
+                add_masks,
+                self._labels,
             )
         else:
             stats = flood_batch_python(
                 self._graph.out_adj, novel_edges, additions, add_masks, self._labels
             )
+        self._size_ints += stats["ints_added"]
+        self._lin_touched.update(stats["touched"])
         changed += len(novel_edges)
         summary["changed"] = changed
         summary["frontier_vertices"] = stats["frontier_vertices"]
@@ -531,6 +626,7 @@ class DynamicDL:
             raise ValueError(f"edge {u}->{v} is not in the live graph")
         self._removed.add(edge)
         self._filter = None
+        self._out_touched.add(edge[0])
         self._counters["removals"] += 1
         changed = not self.query(*edge)
         if not changed:

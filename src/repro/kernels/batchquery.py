@@ -495,7 +495,7 @@ class BatchQueryEngine:
         return found
 
 
-def compile_graph_aux(graph):
+def compile_graph_aux(graph, height=None):
     """``(height, rounds)`` engine certificates, computed at compile time.
 
     The scalar twin of :meth:`BatchQueryEngine._build_graph_aux` (same
@@ -503,14 +503,16 @@ def compile_graph_aux(graph):
     interval rounds are bit-identical), runnable without NumPy — this
     is what :meth:`ReachabilityIndex.compile` bakes into a label
     artifact so the engine's height/interval stages survive losing the
-    graph.  Returns ``(None, [])`` for cyclic input.
+    graph.  A caller that already holds the graph's heights passes them
+    in.  Returns ``(None, [])`` for cyclic input.
     """
     from .grail import compute_heights, interval_round_python
 
-    try:
-        height = compute_heights(graph)
-    except ValueError:
-        return None, []
+    if height is None:
+        try:
+            height = compute_heights(graph)
+        except ValueError:
+            return None, []
     rng = random.Random(0x9E3779B1)
     rounds = [
         interval_round_python(graph, height, rng) for _ in range(_IV_ROUNDS)

@@ -19,11 +19,13 @@ loop.  This module batches the whole stream into three array passes:
    single sweep over the union of the descendant cones.  Each cone
    vertex accumulates a chunked-uint64 bitset of *which* batch sources
    reach it, propagated level-by-level in topological (height) order
-   through segmented CSR gathers.
+   through segmented gathers over the cone's own sub-CSR.  Nothing is
+   sized by the graph: a 5-edge batch whose cone is 200 vertices costs
+   200 rows of work on a 20 000-vertex DAG.
 3. **Vectorized write-back** — cone vertices are grouped by bitset
    pattern; each pattern's label delta is built once (a sorted union of
    the relevant per-edge additions) and merged into every member's
-   ``Lin`` with one global sorted-unique pass over ``y·n + hop`` keys.
+   ``Lin`` with one sorted-unique pass over ``cone_id·n + hop`` keys.
 
 Why pre-batch additions suffice (the confluence argument): let
 ``B_j = Lin_old(u_j) ∪ {rank(u_j)}`` for novel edge ``j``.  Sequential
@@ -268,13 +270,25 @@ def classify_batch(
 # ----------------------------------------------------------------------
 # Stages 2+3, scalar twin: cone Kahn sweep + per-pattern merges
 # ----------------------------------------------------------------------
+def _descendant_cone(out_adj, sources: Iterable[int]) -> List[int]:
+    """The sources and everything they reach, each vertex once."""
+    cone = list(dict.fromkeys(sources))
+    seen = set(cone)
+    for w in cone:  # grows while iterated: a BFS queue
+        for x in out_adj[w]:
+            if x not in seen:
+                seen.add(x)
+                cone.append(x)
+    return cone
+
+
 def flood_batch_python(
     out_adj: Sequence[Sequence[int]],
     novel_edges: Sequence[Tuple[int, int]],
     additions: Sequence[List[int]],
     add_masks: Sequence[int],
     labels,
-) -> Dict[str, int]:
+) -> Dict[str, object]:
     """Apply all novel-edge label deltas in one scalar sweep.
 
     The graph behind ``out_adj`` must already contain every batch edge.
@@ -282,24 +296,16 @@ def flood_batch_python(
     ``Lin_old(u_j) ∪ {rank(u_j)}`` list and its bigint mask.  Bitsets
     over batch indices are Python bigints; propagation runs in Kahn
     (topological) order over the cone subgraph, so each vertex's source
-    set is final when its out-edges are expanded.
+    set is final when its out-edges are expanded.  Besides the sweep
+    counters the result reports ``touched`` (the cone: every row whose
+    ``Lin`` may have changed) and ``ints_added`` (net label growth).
     """
     lin = labels.lin
     source_bits: Dict[int, int] = {}
     for j, (_, v) in enumerate(novel_edges):
         source_bits[v] = source_bits.get(v, 0) | (1 << j)
 
-    # Descendant cone of the batch sources.
-    cone = list(source_bits)
-    seen = set(cone)
-    qi = 0
-    while qi < len(cone):
-        w = cone[qi]
-        qi += 1
-        for x in out_adj[w]:
-            if x not in seen:
-                seen.add(x)
-                cone.append(x)
+    cone = _descendant_cone(out_adj, source_bits)
 
     # Kahn order restricted to the cone (every out-neighbour of a cone
     # vertex is itself in the cone, so in-degrees need no membership
@@ -326,6 +332,7 @@ def flood_batch_python(
     groups: Dict[int, List[int]] = {}
     for w in cone:
         groups.setdefault(source_bits[w], []).append(w)
+    ints_added = 0
     for pattern, members in groups.items():
         delta: Optional[List[int]] = None
         mask = 0
@@ -336,58 +343,71 @@ def flood_batch_python(
             delta = additions[j] if delta is None else merge_sorted(delta, additions[j])
             mask |= add_masks[j]
         for w in members:
-            lin[w] = merge_sorted(lin[w], delta)
+            merged = merge_sorted(lin[w], delta)
+            ints_added += len(merged) - len(lin[w])
+            lin[w] = merged
             labels.or_in_mask(w, mask)
     return {
         "frontier_vertices": len(cone),
         "labels_merged": len(cone),
         "patterns": len(groups),
+        "touched": cone,
+        "ints_added": ints_added,
     }
 
 
 # ----------------------------------------------------------------------
-# Stages 2+3, NumPy: segmented gathers + one global sorted-unique pass
+# Stages 2+3, NumPy: segmented gathers + one sorted-unique pass, all
+# over the cone alone
 # ----------------------------------------------------------------------
-def _np_offsets(np, arr):
-    """int64 ndarray view/copy of an ``array('l')`` CSR array."""
-    if not len(arr):
-        return np.empty(0, dtype=np.int64)
-    return np.frombuffer(arr, dtype=np.dtype(f"i{arr.itemsize}")).astype(
-        np.int64, copy=False
-    )
-
-
 def flood_batch_numpy(
     np,
-    graph,
+    out_adj: Sequence[Sequence[int]],
+    heights: Sequence[int],
     novel_edges: Sequence[Tuple[int, int]],
     additions: Sequence[List[int]],
     add_masks: Sequence[int],
     labels,
-) -> Dict[str, int]:
+) -> Dict[str, object]:
     """Vectorized twin of :func:`flood_batch_python` (same final labels).
 
-    One CSR snapshot of the post-batch graph, heights for the
-    topological level order, a multi-source cone discovery, chunked
-    uint64 source-bitset propagation through segmented gathers, and a
-    single ``np.unique`` union write-back keyed on ``y·n + hop``.
+    Every array is sized by the descendant cone of the batch, never by
+    the graph: the cone is discovered over the adjacency lists, its
+    sub-CSR and a ``(cone, words)`` source bitset are built in cone-local
+    ids, the topological level order comes from ``heights`` (which the
+    caller maintains for the post-batch graph), and one ``np.unique``
+    union keyed on ``local_id·n + hop`` writes the rows back.
     """
-    from ..graph.csr import build_csr_arrays
-    from .frontier import compute_heights_numpy, segmented_gather
+    from itertools import chain
 
-    n = graph.n
-    out_offs, out_tgts = build_csr_arrays(graph.out_adj)
-    in_offs, in_tgts = build_csr_arrays(graph.in_adj)
-    offsets = _np_offsets(np, out_offs)
-    targets = _np_offsets(np, out_tgts)
-    height = compute_heights_numpy(
-        np, (offsets, None, _np_offsets(np, in_offs), _np_offsets(np, in_tgts))
+    from .frontier import segmented_gather
+
+    n = labels.n
+    cone = sorted(_descendant_cone(out_adj, (v for _, v in novel_edges)))
+    size = len(cone)
+    cids = np.fromiter(cone, dtype=np.int64, count=size)
+    # Out-neighbours of a cone vertex are in the cone, so the sub-CSR
+    # keeps every edge; searchsorted renames targets to local ids.
+    offsets = np.zeros(size + 1, dtype=np.int64)
+    np.cumsum(
+        np.fromiter((len(out_adj[y]) for y in cone), dtype=np.int64, count=size),
+        out=offsets[1:],
+    )
+    targets = np.searchsorted(
+        cids,
+        np.fromiter(
+            chain.from_iterable(out_adj[y] for y in cone),
+            dtype=np.int64,
+            count=int(offsets[-1]),
+        ),
     )
 
     k = len(novel_edges)
     words = (k + 63) >> 6
-    source_bits = np.zeros((n, words), dtype=np.uint64)
-    srcs = np.fromiter((v for _, v in novel_edges), dtype=np.int64, count=k)
+    source_bits = np.zeros((size, words), dtype=np.uint64)
+    srcs = np.searchsorted(
+        cids, np.fromiter((v for _, v in novel_edges), dtype=np.int64, count=k)
+    )
     js = np.arange(k, dtype=np.int64)
     np.bitwise_or.at(
         source_bits.reshape(-1),
@@ -395,32 +415,15 @@ def flood_batch_numpy(
         np.uint64(1) << (js & 63).astype(np.uint64),
     )
 
-    # Descendant cone of the batch sources.
-    visited = np.zeros(n, dtype=bool)
-    frontier = np.unique(srcs)
-    visited[frontier] = True
-    cone_parts = [frontier]
-    while len(frontier):
-        _, nxt = segmented_gather(offsets, targets, frontier)
-        if not len(nxt):
-            break
-        nxt = np.unique(nxt)
-        nxt = nxt[~visited[nxt]]
-        visited[nxt] = True
-        if len(nxt):
-            cone_parts.append(nxt)
-        frontier = nxt
-    cone = np.concatenate(cone_parts) if len(cone_parts) > 1 else cone_parts[0]
-
     # Propagate source bitsets level-synchronously in descending height
     # order: every edge drops strictly in height, so a level's incoming
     # bits are final before its out-edges are expanded.
-    order = np.argsort(-height[cone], kind="stable")
-    by_level = cone[order]
-    hs = height[by_level]
+    hs = np.fromiter((heights[y] for y in cone), dtype=np.int64, count=size)
+    by_level = np.argsort(-hs, kind="stable")
+    hs = hs[by_level]
     bounds = np.flatnonzero(hs[1:] != hs[:-1]) + 1
     start = 0
-    for stop in list(bounds) + [len(by_level)]:
+    for stop in bounds.tolist() + [size]:
         level = by_level[start:stop]
         start = stop
         seg, vals = segmented_gather(offsets, targets, level)
@@ -428,8 +431,7 @@ def flood_batch_numpy(
             np.bitwise_or.at(source_bits, vals, source_bits[level[seg]])
 
     # Group by pattern; build one delta (and one bigint mask) per group.
-    rows = source_bits[cone]
-    patterns, inv = np.unique(rows, axis=0, return_inverse=True)
+    patterns, inv = np.unique(source_bits, axis=0, return_inverse=True)
     inv = inv.reshape(-1)
     pattern_bits = np.unpackbits(
         patterns.astype("<u8", copy=False).view(np.uint8), axis=1, bitorder="little"
@@ -449,37 +451,32 @@ def flood_batch_numpy(
             mask |= add_masks[j]
         masks.append(mask)
 
-    # One global sorted-unique union over (vertex, hop) keys.
+    # One sorted-unique union over (local id, hop) keys.
     lin = labels.lin
-    from itertools import chain
-
-    cone_list = cone.tolist()
-    counts = np.fromiter((len(lin[y]) for y in cone_list), dtype=np.int64, count=len(cone))
+    counts = np.fromiter((len(lin[y]) for y in cone), dtype=np.int64, count=size)
     total_old = int(counts.sum())
     old_hops = np.fromiter(
-        chain.from_iterable(lin[y] for y in cone_list), dtype=np.int64, count=total_old
+        chain.from_iterable(lin[y] for y in cone), dtype=np.int64, count=total_old
     )
-    key_parts = [np.repeat(cone, counts) * n + old_hops]
+    local = np.arange(size, dtype=np.int64)
+    key_parts = [np.repeat(local, counts) * n + old_hops]
     for p in range(len(patterns)):
-        ys = cone[inv == p]
+        ys = local[inv == p]
         dlt = deltas[p]
-        key_parts.append(
-            (np.repeat(ys, len(dlt)) * n)
-            + np.tile(dlt, len(ys))
-        )
+        key_parts.append((np.repeat(ys, len(dlt)) * n) + np.tile(dlt, len(ys)))
     keys = np.unique(np.concatenate(key_parts))
-    cids = np.sort(cone)
-    starts = np.searchsorted(keys, cids * n)
-    ends = np.searchsorted(keys, (cids + 1) * n)
+    cuts = np.searchsorted(keys, np.arange(size + 1, dtype=np.int64) * n).tolist()
     hops = keys % n
-    for i, y in enumerate(cids.tolist()):
-        lin[y] = hops[starts[i] : ends[i]].tolist()
-    for w, p in zip(cone_list, inv.tolist()):
+    for i, y in enumerate(cone):
+        lin[y] = hops[cuts[i] : cuts[i + 1]].tolist()
+    for w, p in zip(cone, inv.tolist()):
         labels.or_in_mask(w, masks[p])
     return {
-        "frontier_vertices": int(len(cone)),
-        "labels_merged": int(len(cone)),
+        "frontier_vertices": size,
+        "labels_merged": size,
         "patterns": int(len(patterns)),
+        "touched": cone,
+        "ints_added": int(len(keys)) - total_old,
     }
 
 

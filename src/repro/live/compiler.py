@@ -13,14 +13,19 @@ What "incremental" buys at compile time: DL insertions mutate only the
 **in-side** labels, so between publishes the compiler reuses the packed
 bytes of every untouched section — the out-side arena, the hop→vertex
 witness table, and the SCC ``comp`` map — and repacks only the in-side
-arena.  The graph-derived engine certificates are the exception: the
-height filter must track the current graph (a stale height table would
-filter *new* positive pairs as negative), so heights are recomputed on
-every publish (one O(n + m) sweep), while the five interval rounds —
-the expensive certificates — are only rebuilt on **full** compiles and
-dropped from incremental ones exactly like the ``compact`` profile
-drops them: answers are bit-identical either way, negatives just lean
-on the later engine stages.
+arena.  That arena (and, while tombstones exist, the live forward CSR)
+is kept flat between publishes and only the rows the oracle reports
+through :meth:`DynamicDL.drain_touched` are *spliced* into it, so a
+publish costs O(touched rows) plus one sequential write of the file —
+never a walk over the graph.  The graph-derived engine certificates
+are the exception to the reuse: the height filter must track the
+current graph (a stale height table would filter *new* positive pairs
+as negative), so the oracle's maintained heights are repacked on every
+publish, while the five interval rounds — the expensive certificates —
+are only rebuilt on **full** compiles and dropped from incremental
+ones exactly like the ``compact`` profile drops them: answers are
+bit-identical either way, negatives just lean on the later engine
+stages.
 
 Full-recompile fallbacks (everything repacked):
 
@@ -52,8 +57,10 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from ..artifact import pack_section, write_artifact
 from ..core.dynamic import CycleInBatch, DynamicDL
+from ..graph.csr import build_csr_arrays
 from ..graph.digraph import DiGraph
 from ..graph.scc import condense
+from ..kernels import numpy_or_none
 
 __all__ = ["IncrementalCompiler", "normalize_ops"]
 
@@ -90,16 +97,52 @@ def normalize_ops(items: Iterable) -> List[Op]:
             raise ValueError(f"malformed update item {item!r}")
     return out
 
-#: Interval rounds baked into full compiles (mirrors the engine's
-#: ``_IV_ROUNDS`` via :func:`repro.kernels.batchquery.compile_graph_aux`).
-_SECTION_NAMES = (
-    "comp",
-    "inner/out_hops",
-    "inner/out_offs",
-    "inner/hop_vertex",
-    "inner/in_hops",
-    "inner/in_offs",
+_TOMB_SECTIONS = (
+    "inner/tomb_u",
+    "inner/tomb_v",
+    "inner/live_offs",
+    "inner/live_tgts",
 )
+
+
+def _flatten_rows(np, rows: Sequence[Sequence[int]]):
+    """``(values, offsets)`` of a list of int rows, as flat arrays.
+
+    ``values[offsets[i]:offsets[i + 1]]`` is row ``i`` — the arena /
+    CSR layout every artifact section uses.  ndarrays when ``np`` is
+    given (views over the ``array`` buffers), plain arrays otherwise.
+    """
+    offsets, values = build_csr_arrays(rows)
+    if np is None:
+        return values, offsets
+    dtype = np.dtype(f"i{values.itemsize}")
+    return np.frombuffer(values, dtype=dtype), np.frombuffer(offsets, dtype=dtype)
+
+
+def _splice_rows(np, values, offsets, idx: List[int], rows: Sequence[Sequence[int]]):
+    """``(values, offsets)`` with rows ``idx`` (ascending) replaced by ``rows``.
+
+    One concatenate over the ≤ ``len(idx) + 1`` untouched slices and
+    the new rows, one cumsum for the offsets: the interpreter's work is
+    O(touched rows), the rest is memcpy.
+    """
+    new_values, new_offsets = _flatten_rows(np, rows)
+    at = np.asarray(idx, dtype=np.int64)
+    lens = np.diff(offsets)
+    lens[at] = np.diff(new_offsets)
+    out_offsets = np.zeros(len(offsets), dtype=np.int64)
+    np.cumsum(lens, out=out_offsets[1:])
+    pieces = []
+    kept_from = 0
+    new_cuts = new_offsets.tolist()
+    for i, (start, stop) in enumerate(
+        zip(offsets[at].tolist(), offsets[at + 1].tolist())
+    ):
+        pieces.append(values[kept_from:start])
+        pieces.append(new_values[new_cuts[i] : new_cuts[i + 1]])
+        kept_from = stop
+    pieces.append(values[kept_from:])
+    return np.concatenate(pieces), out_offsets
 
 
 class IncrementalCompiler:
@@ -140,9 +183,11 @@ class IncrementalCompiler:
         self._auto_rebuild_factor = auto_rebuild_factor
         self._original = graph.copy()
         self._sections: Dict[str, Tuple[str, bytes]] = {}
-        self._full_pending = True  # first compile packs everything
-        self._in_dirty = True
-        self._tomb_dirty = False
+        #: Flat ``(values, offsets)`` of the in-side labels and of the
+        #: tombstone-free forward CSR as last published; incremental
+        #: compiles splice the oracle's touched rows into them.
+        self._in_arena = None
+        self._live_csr = None
         #: Lazy ``(cu, cv) -> count`` of original cross-component edges
         #: behind each DAG edge; None until a removal needs it, cleared
         #: by every pipeline rebuild.
@@ -214,9 +259,6 @@ class IncrementalCompiler:
             order=self._order,
             auto_rebuild_factor=self._auto_rebuild_factor,
         )
-        self._full_pending = True
-        self._in_dirty = True
-        self._tomb_dirty = True  # a fresh oracle has no tombstones
         self._dag_mult = None
         self._sections.clear()
 
@@ -290,31 +332,27 @@ class IncrementalCompiler:
                 self._rebuild_pipeline()
                 return {"kind": "scc-merge", "changed": True, "rebuilt": True}
             resurrect = self._dyn.is_tombstoned(cu, cv)
-            compacts0 = self._dyn.stats()["updates"]["compacts"]
+            compacts0 = self._dyn.compacts
             changed = self._dyn.insert_edge(cu, cv)
             if self._dag_mult is not None:
                 self._dag_mult[(cu, cv)] = self._dag_mult.get((cu, cv), 0) + 1
-            rebuilt = False
             if resurrect:
                 # The DAG edge came back from a tombstone: labels are
-                # untouched but the published tombstone set shrinks.
-                self._tomb_dirty = True
-            elif self._dyn.stats()["updates"]["compacts"] != compacts0:
+                # untouched, and the oracle reports the source row whose
+                # live adjacency (and tombstone set) the publish repacks.
+                return {"kind": "inserted", "changed": changed, "rebuilt": False}
+            rebuilt = False
+            if self._dyn.compacts != compacts0:
                 # A ghost-only cycle forced a compact: the tombstones
                 # were dropped and the labels rebuilt minimal.
                 self._compacts += 1
-                self._full_pending = True
-                self._in_dirty = True
-                self._tomb_dirty = True
                 rebuilt = True
             elif changed:
-                self._in_dirty = True
-                if self._dyn.stats()["inserts_since_rebuild"] == 0:
+                if self._dyn.inserts_since_rebuild == 0:
                     # DynamicDL hit its bloat threshold and rebuilt:
                     # the out side (and witness order) changed too.
                     rebuilt = True
                     self._auto_rebuilds += 1
-                    self._full_pending = True
             else:
                 self._noop_inserts += 1
             return {"kind": "inserted", "changed": changed, "rebuilt": rebuilt}
@@ -390,7 +428,6 @@ class IncrementalCompiler:
         mult.pop((cu, cv), None)
         changed = self._dyn.remove_edge(cu, cv)
         self._tombstoned_removals += 1
-        self._tomb_dirty = True
         return {"kind": "tombstoned", "changed": changed, "rebuilt": False}
 
     def _scc_intact(self, u: int, v: int) -> bool:
@@ -488,7 +525,7 @@ class IncrementalCompiler:
                     summary["changed"] += 1
             if run:
                 self._apply_insert_run(run, summary)
-            summary["tombstones"] = self._dyn.stats()["tombstones"]
+            summary["tombstones"] = self._dyn.tombstone_count
             summary["dirt_ratio"] = self._dyn.dirt_ratio
         return summary
 
@@ -526,7 +563,7 @@ class IncrementalCompiler:
         if not mapped:
             return
         mult = self._dag_mult
-        compacts0 = self._dyn.stats()["updates"]["compacts"]
+        compacts0 = self._dyn.compacts
         try:
             s = self._dyn.insert_edges(mapped)
         except CycleInBatch as exc:
@@ -549,12 +586,9 @@ class IncrementalCompiler:
         if mult is not None:
             for e in mapped:
                 mult[e] = mult.get(e, 0) + 1
-        if self._dyn.stats()["updates"]["compacts"] != compacts0:
+        if self._dyn.compacts != compacts0:
             # A ghost-only cycle forced a compact mid-batch.
             self._compacts += 1
-            self._full_pending = True
-            self._in_dirty = True
-            self._tomb_dirty = True
             summary["rebuilds"] += 1
         self._absorb_dyn_summary(s, summary)
 
@@ -564,13 +598,8 @@ class IncrementalCompiler:
         noop = s["noop"] + s["duplicate"]
         self._noop_inserts += noop
         summary["noop"] += noop
-        if s["novel"]:
-            self._in_dirty = True
-        if s["resurrected"]:
-            self._tomb_dirty = True
         if s["auto_rebuilt"]:
             self._auto_rebuilds += 1
-            self._full_pending = True
             summary["rebuilds"] += 1
 
     def compact(self) -> Dict[str, object]:
@@ -584,9 +613,6 @@ class IncrementalCompiler:
             dropped = self._dyn.compact()
             if dropped:
                 self._compacts += 1
-                self._full_pending = True
-                self._in_dirty = True
-                self._tomb_dirty = True
             return {"dropped": dropped, "rebuilt": bool(dropped)}
 
     @property
@@ -639,75 +665,89 @@ class IncrementalCompiler:
         """
         t0 = time.perf_counter()
         with self._lock:
-            do_full = self._full_pending if full is None else (full or self._full_pending)
-            reused0, repacked0 = self._sections_reused, self._sections_repacked
-            t_pack0 = time.perf_counter()
             dyn = self._dyn
             labels = dyn.labels
-            oh, oo, ih, io_ = labels.arena()
+            np = numpy_or_none()
+            # None: the oracle's labels were (re)built since the last
+            # publish — first compile, bloat rebuild, compact, SCC merge
+            # or split — so both sides changed in every row, whatever
+            # profile was requested.
+            touched = dyn.drain_touched()
+            lin_rows, out_rows = touched or ((), ())
+            do_full = bool(full) or touched is None
+            reused0, repacked0 = self._sections_reused, self._sections_repacked
+            t_pack0 = time.perf_counter()
 
             self._pack("comp", self._cond.comp, None, do_full)
-            self._pack("inner/out_hops", oh, None, do_full)
-            self._pack("inner/out_offs", oo, "<i8", do_full)
+            if do_full:
+                out_hops, out_offs = _flatten_rows(np, labels.lout)
+                self._pack("inner/out_hops", out_hops, None, True)
+                self._pack("inner/out_offs", out_offs, "<i8", True)
+            else:
+                self._sections_reused += 2
             self._pack("inner/hop_vertex", dyn.order_list, None, do_full)
-            self._pack("inner/in_hops", ih, None, self._in_dirty or do_full)
-            self._pack("inner/in_offs", io_, "<i8", self._in_dirty or do_full)
+            lin = labels.lin
+            if do_full or (lin_rows and np is None):
+                self._in_arena = _flatten_rows(np, lin)
+            elif lin_rows:
+                rows = sorted(lin_rows)
+                self._in_arena = _splice_rows(
+                    np, *self._in_arena, rows, [lin[y] for y in rows]
+                )
+            in_dirty = do_full or bool(lin_rows)
+            self._pack("inner/in_hops", self._in_arena[0], None, in_dirty)
+            self._pack("inner/in_offs", self._in_arena[1], "<i8", in_dirty)
 
             # Tombstone sections (optional): the serving side needs the
             # removed DAG edges plus a live (tombstone-free) forward CSR
             # to demote suspect label positives to exact live answers.
-            tombs = dyn.tombstones
-            tomb_names = (
-                "inner/tomb_u",
-                "inner/tomb_v",
-                "inner/live_offs",
-                "inner/live_tgts",
-            )
-            if tombs:
-                if self._tomb_dirty or do_full or tomb_names[0] not in self._sections:
-                    from ..graph.csr import build_csr_arrays
-
-                    live_offs, live_tgts = build_csr_arrays(dyn.live_out_adj())
-                    self._sections["inner/tomb_u"] = pack_section(
-                        [e[0] for e in tombs]
-                    )
-                    self._sections["inner/tomb_v"] = pack_section(
-                        [e[1] for e in tombs]
-                    )
-                    self._sections["inner/live_offs"] = pack_section(
-                        live_offs, "<i8"
-                    )
-                    self._sections["inner/live_tgts"] = pack_section(live_tgts)
-                    self._sections_repacked += 4
-                else:
-                    self._sections_reused += 4
-            else:
-                for name in tomb_names:
+            # Every change to either — a tombstone set or cleared, an
+            # edge added beside existing tombstones — touches an out row.
+            if not dyn.tombstone_count:
+                self._live_csr = None
+                for name in _TOMB_SECTIONS:
                     self._sections.pop(name, None)
+            elif out_rows or do_full or self._live_csr is None:
+                if do_full or np is None or self._live_csr is None:
+                    self._live_csr = _flatten_rows(np, dyn.live_out_adj())
+                else:
+                    rows = sorted(out_rows)
+                    out_adj = dyn.graph.out_adj
+                    self._live_csr = _splice_rows(
+                        np,
+                        *self._live_csr,
+                        rows,
+                        [
+                            [x for x in out_adj[w] if not dyn.is_tombstoned(w, x)]
+                            for w in rows
+                        ],
+                    )
+                live_tgts, live_offs = self._live_csr
+                tombs = dyn.tombstones
+                self._pack("inner/tomb_u", [e[0] for e in tombs], None, True)
+                self._pack("inner/tomb_v", [e[1] for e in tombs], None, True)
+                self._pack("inner/live_offs", live_offs, "<i8", True)
+                self._pack("inner/live_tgts", live_tgts, None, True)
+            else:
+                self._sections_reused += 4
 
             # Graph certificates: the height filter must match the
-            # *current* graph on every publish; the interval rounds are
-            # full-compile-only (see the module docstring).
+            # *current* graph on every publish (the oracle maintains
+            # it); the interval rounds are full-compile-only (see the
+            # module docstring).
             t_cert0 = time.perf_counter()
             rounds: List[Tuple[object, object]] = []
             if do_full:
                 from ..kernels.batchquery import compile_graph_aux
 
-                height, rounds = compile_graph_aux(dyn.graph)
-            else:
-                from ..kernels.grail import compute_heights
-
-                height = compute_heights(dyn.graph)
+                _, rounds = compile_graph_aux(dyn.graph, dyn.heights)
             stale_rounds = [
                 name for name in self._sections if name.startswith("inner/iv_")
             ]
             for name in stale_rounds:
                 del self._sections[name]
-            if height is not None:
-                self._sections["inner/height"] = pack_section(height)
-                self._sections_repacked += 1
-            else:  # pragma: no cover - the condensation DAG is acyclic
-                self._sections.pop("inner/height", None)
+            self._sections["inner/height"] = pack_section(dyn.heights)
+            self._sections_repacked += 1
             for i, (low, post) in enumerate(rounds):
                 self._sections[f"inner/iv_low_{i}"] = pack_section(low)
                 self._sections[f"inner/iv_post_{i}"] = pack_section(post)
@@ -723,7 +763,7 @@ class IncrementalCompiler:
                 "live": {
                     "inserts": self._inserts,
                     "removals": self._removals,
-                    "tombstones": len(tombs),
+                    "tombstones": dyn.tombstone_count,
                     "full_compile": do_full,
                 },
                 "inner": {
@@ -745,9 +785,6 @@ class IncrementalCompiler:
                 self._full_compiles += 1
             else:
                 self._incremental_compiles += 1
-            self._full_pending = False
-            self._in_dirty = False
-            self._tomb_dirty = False
             compile_s = time.perf_counter() - t0
             if self._compile_hist is not None:
                 self._compile_hist.observe_s(compile_s)
@@ -781,7 +818,7 @@ class IncrementalCompiler:
                 "tombstoned_removals": self._tombstoned_removals,
                 "scc_splits": self._scc_splits,
                 "compacts": self._compacts,
-                "tombstones": self._dyn.stats()["tombstones"],
+                "tombstones": self._dyn.tombstone_count,
                 "dirt_ratio": self._dyn.dirt_ratio,
                 "full_compiles": self._full_compiles,
                 "incremental_compiles": self._incremental_compiles,

@@ -18,10 +18,8 @@ detached.
 
 from __future__ import annotations
 
-import contextlib
 import os
 import shutil
-import sys
 import tempfile
 import threading
 import time
@@ -33,44 +31,6 @@ from .store import VersionedArtifactStore
 __all__ = ["LiveIndex"]
 
 Edge = Tuple[int, int]
-
-
-@contextlib.contextmanager
-def _update_priority():
-    """Widen the interpreter switch interval while update compute runs.
-
-    A live update shares the interpreter with every connection-handler
-    thread; at the default 5 ms quantum a compute-bound updater on a
-    small host gets ~1/n_threads of the core and a ~100 ms label flood
-    balloons by an order of magnitude of pure context-switch tax.  A
-    wider quantum lets each GIL hold run to useful completion — query
-    threads still interleave (the NumPy kernel sections release the
-    GIL outright) — and the previous interval is restored
-    unconditionally, so steady-state serving is untouched.
-
-    Where the process may renice (root, or CAP_SYS_NICE), the updater
-    thread additionally drops its nice value for the duration: CFS's
-    weighting then picks it over peer handler threads nearly every
-    time the GIL comes up for grabs, instead of one time in n.
-    """
-    prev = sys.getswitchinterval()
-    sys.setswitchinterval(max(prev, 0.05))
-    tid = prev_nice = None
-    try:
-        tid = threading.get_native_id()
-        prev_nice = os.getpriority(os.PRIO_PROCESS, tid)
-        os.setpriority(os.PRIO_PROCESS, tid, min(prev_nice, -10))
-    except (AttributeError, OSError):
-        tid = None  # unprivileged or non-Linux: quantum widening only
-    try:
-        yield
-    finally:
-        sys.setswitchinterval(prev)
-        if tid is not None:
-            try:
-                os.setpriority(os.PRIO_PROCESS, tid, prev_nice)
-            except OSError:  # pragma: no cover - thread died mid-restore
-                pass
 
 
 class LiveIndex:
@@ -260,7 +220,7 @@ class LiveIndex:
         # out silently with the next unrelated publish).
         for _, u, v in ops:
             self.compiler.validate_edge(u, v)
-        with self._update_lock, _update_priority():
+        with self._update_lock:
             t0 = time.perf_counter()
             summary = self.compiler.apply_ops(ops)
             if summary["changed"] or summary["rebuilds"] or summary["scc_merges"]:

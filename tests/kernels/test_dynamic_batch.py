@@ -13,6 +13,7 @@ import random
 import pytest
 
 from repro.core.dynamic import DynamicDL
+from repro.graph.digraph import DiGraph
 from repro.graph.generators import random_dag
 from repro.graph.traversal import bfs_reaches
 from repro.kernels import numpy_or_none
@@ -187,3 +188,50 @@ def test_remove_then_batch_insert_resurrects():
     assert summary["novel"] == 1
     assert dyn.query(0, 4) is True
     assert dyn.tombstones == []
+
+
+# ----------------------------------------------------------------------
+# Cone-local kernel: extreme cone shapes
+# ----------------------------------------------------------------------
+def _assert_parity(g, stream, backend):
+    seq = DynamicDL(g, auto_rebuild_factor=0)
+    for u, v in stream:
+        seq.insert_edge(u, v)
+    bat = DynamicDL(g, auto_rebuild_factor=0)
+    summary = bat.insert_edges(stream, backend=backend)
+    assert _labels_of(bat) == _labels_of(seq)
+    pairs = [(u, v) for u in range(g.n) for v in range(g.n)]
+    assert bat.query_batch(pairs) == seq.query_batch(pairs)
+    assert bat.heights == seq.heights
+    assert bat.index_size_ints() == seq.index_size_ints() == bat.labels.size_ints()
+    return summary
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+def test_batch_whose_cone_is_the_whole_graph(backend):
+    # Vertex 0 starts isolated and is wired above every root of the
+    # rest: the flood's cone is every vertex but 0 itself.
+    n = 40
+    rest = random_dag(n - 1, 90, seed=5)
+    g = DiGraph(n)
+    for u, v in rest.edges():
+        g.add_edge(u + 1, v + 1)
+    stream = [(0, v) for v in range(1, n) if not g.in_adj[v]]
+    summary = _assert_parity(g, stream, backend)
+    assert summary["frontier_vertices"] == n - 1
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+def test_batch_with_more_than_64_novel_edges(backend):
+    # 70 disjoint 2-paths joined pairwise: 70 novel edges in one batch
+    # spill the per-vertex source bitset into a second uint64 word, and
+    # the chain below vertex 0's target collects bits from both words.
+    k = 70
+    n = 2 * k + 1
+    g = random_dag(n, 0, seed=0).copy()
+    for i in range(k):
+        g.add_edge(2 * i + 1, n - 1)
+    stream = [(2 * i, 2 * i + 1) for i in range(k)]
+    summary = _assert_parity(g, stream, backend)
+    assert summary["novel"] == k
+    assert summary["patterns"] > 64
