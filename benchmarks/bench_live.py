@@ -7,7 +7,7 @@ families:
 * **update swap** — a mixed read/update run: the steady workload is
   measured first, then re-run while an edge-insertion stream is applied
   mid-load through the :class:`~repro.live.IncrementalCompiler` and
-  published as a new epoch.  Recorded per (family × workers): the
+  published as a new epoch.  Recorded per family: the
   insert→compile→publish wall time (``swap_ms`` with its compile /
   publish split and whether the compile was incremental), steady
   p50/p95/p99 vs the p50/p95/p99 of requests whose service interval
@@ -23,8 +23,10 @@ families:
   epoch flip): the publish wall time is the whole service interruption
   budget, and it is paid off the query path.
 
-The committed ``BENCH_live.json`` at the repo root records the
-full-size run; ``--smoke`` shrinks everything for CI.
+The committed ``BENCH_live.json`` at the repo root is the historical
+full-size run; its ``update_swap`` lists still carry a ``workers`` axis
+(0 and 2 answer processes — the pool lost all three cells, which is why
+it was deleted).  ``--smoke`` shrinks everything for CI.
 """
 
 from __future__ import annotations
@@ -64,7 +66,6 @@ SMOKE_FAMILIES = {
 QUERIES = 30_000
 CONNECTIONS = 8
 PIPELINE = 128
-WORKER_COUNTS = (0, 2)
 UPDATE_EDGES = 50
 BATCH_SIZES = (5, 50, 500)
 SMOKE_BATCH_SIZES = (5, 20)
@@ -171,61 +172,26 @@ def measure_family(name, make_graph, queries, tmpdir: Path, edges_n: int,
     row["update_batch_sweep"] = update_batch_sweep(graph, batch_sizes)
     gc.collect()
 
-    cells = []
-    for workers in WORKER_COUNTS:
-        print(f"  update-swap workers={workers} ...", file=sys.stderr, flush=True)
-        # The 1-core bench host occasionally stalls a worker-pool
-        # connection outright (a pre-existing serving flake unrelated
-        # to the swap path); retry the whole cell rather than commit a
-        # poisoned measurement, and record how many tries it took.
-        retries = 0
-        while True:
-            try:
-                doc = measure_live_swap(
-                    graph,
-                    pairs,
-                    updates,
-                    workers=workers,
-                    connections=CONNECTIONS,
-                    pipeline=PIPELINE,
-                )
-                break
-            except RuntimeError as exc:
-                retries += 1
-                if retries > 3:
-                    raise
-                print(
-                    f"  retry {retries}/3 (workers={workers}): {exc}",
-                    file=sys.stderr,
-                    flush=True,
-                )
-                gc.collect()
-        cells.append(
-            {
-                "workers": workers,
-                "retries": retries,
-                "updates": len(updates),
-                "steady_qps": doc["steady_qps"],
-                "steady_latency_ms": doc["steady_latency_ms"],
-                "qps_across_swap": doc["qps"],
-                "latency_ms_across_swap": doc["latency_ms"],
-                "swap_ms": doc["swap_s"] * 1000.0,
-                "compile_ms": (doc["compile_s"] or 0.0) * 1000.0,
-                "publish_ms": (doc["publish_s"] or 0.0) * 1000.0,
-                "incremental_compile": not doc["full"],
-                "during_swap_latency_ms": doc["during_swap_ms"],
-                "during_swap_samples": doc["during_swap_samples"],
-                "errors": doc["errors"],
-                "verified_pairs": doc["verified_pairs"],
-                "epoch": doc["epoch"],
-            }
-        )
-        gc.collect()
-    row["update_swap"] = cells
-    row["swap_ms_best"] = min(c["swap_ms"] for c in cells)
-    row["p95_during_swap_ms"] = max(
-        c["during_swap_latency_ms"].get("p95", 0.0) for c in cells
+    print("  update-swap ...", file=sys.stderr, flush=True)
+    doc = measure_live_swap(
+        graph, pairs, updates, connections=CONNECTIONS, pipeline=PIPELINE
     )
+    row["update_swap"] = {
+        "updates": len(updates),
+        "steady_qps": doc["steady_qps"],
+        "steady_latency_ms": doc["steady_latency_ms"],
+        "qps_across_swap": doc["qps"],
+        "latency_ms_across_swap": doc["latency_ms"],
+        "swap_ms": doc["swap_s"] * 1000.0,
+        "compile_ms": (doc["compile_s"] or 0.0) * 1000.0,
+        "publish_ms": (doc["publish_s"] or 0.0) * 1000.0,
+        "incremental_compile": not doc["full"],
+        "during_swap_latency_ms": doc["during_swap_ms"],
+        "during_swap_samples": doc["during_swap_samples"],
+        "errors": doc["errors"],
+        "verified_pairs": doc["verified_pairs"],
+        "epoch": doc["epoch"],
+    }
     return row
 
 
@@ -274,13 +240,14 @@ def main() -> None:
                 name, make_graph, queries, Path(tmp), edges_n, batch_sizes
             )
             doc["families"][name] = row
-            best = min(row["update_swap"], key=lambda c: c["swap_ms"])
+            cell = row["update_swap"]
             print(
-                f"  swap {row['swap_ms_best']:.1f} ms "
-                f"({'incremental' if best['incremental_compile'] else 'full'}); "
+                f"  swap {cell['swap_ms']:.1f} ms "
+                f"({'incremental' if cell['incremental_compile'] else 'full'}); "
                 f"steady p95 "
-                f"{best['steady_latency_ms'].get('p95', 0):.2f} ms vs "
-                f"{row['p95_during_swap_ms']:.2f} ms during swap; "
+                f"{cell['steady_latency_ms'].get('p95', 0):.2f} ms vs "
+                f"{cell['during_swap_latency_ms'].get('p95', 0):.2f} ms "
+                f"during swap; "
                 f"artifact publish "
                 f"{row['artifact_swap']['publish_ms']:.1f} ms; 0 errors",
                 file=sys.stderr,

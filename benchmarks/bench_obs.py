@@ -47,7 +47,7 @@ from repro.facade import Reachability
 from repro.graph.generators import citation_dag, random_dag
 from repro.serialization import load_artifact
 from repro.server import run_load
-from repro.server.service import serve_artifact
+from repro.server.tcp import serve_artifact
 
 FAMILIES = {
     "citation-8000": lambda: citation_dag(8000, out_per_vertex=3, seed=17),

@@ -1,4 +1,4 @@
-"""Server bench: throughput scaling across workers and batching on/off.
+"""Server bench: served throughput with batching on/off and the cache.
 
 What a served deployment of the oracle actually delivers, measured
 from the client side of a real TCP connection:
@@ -6,26 +6,20 @@ from the client side of a real TCP connection:
 * **batching axis** — the same pipelined single-pair workload against
   a micro-batching window of 1 ms vs a window of 0 (every request
   dispatched individually).  Coalescing amortizes per-request dispatch
-  — and, with worker processes, the per-task IPC round trip — across
-  whole batches; the ``batching_speedup`` ratio per family is the
-  headline number (>2× on the 40000-node families is the acceptance
-  bar).
-* **worker axis** — 0 (in-process answers), 1 and 2 worker processes,
-  each mmap-loading the same artifact (one physical copy).  On a
-  multicore host this is the CPU-scaling axis; the committed JSON
-  records ``cpu_count`` so single-core results read as what they are
-  (worker processes there only buy mmap isolation, not parallelism —
-  and the unbatched × workers cell shows the full per-query IPC cost
-  that micro-batching exists to amortize).
+  across whole batches; the ``batching_speedup`` ratio per family is
+  the headline number.
 * **cache row** — a skewed (repeating) workload against the sharded
   LRU, reporting hit rate and the resulting q/s.
 
 Every run asserts the served answers are bit-identical to a direct
 ``CompiledOracle`` on the same artifact before any number is recorded.
 
-The committed ``BENCH_server.json`` at the repo root records the
-full-size run on the 40000-node acceptance families; ``--smoke``
-shrinks everything for CI.
+The committed ``BENCH_server.json`` at the repo root is the historical
+full-size run on the 40000-node acceptance families.  It still carries
+a ``workers`` axis (0/1/2 answer processes): the pool lost all 18 of
+its cells to in-process dispatch, which is why it was deleted and why
+this script no longer has that axis.  ``--smoke`` shrinks everything
+for CI.
 """
 
 from __future__ import annotations
@@ -44,7 +38,7 @@ from repro.facade import Reachability
 from repro.graph.generators import citation_dag, random_dag, sparse_dag
 from repro.serialization import load_artifact
 from repro.server import ReachClient, run_load
-from repro.server.service import serve_artifact
+from repro.server.tcp import serve_artifact
 
 FAMILIES = {
     # The acceptance families: the same 40000-node graphs the artifact
@@ -66,13 +60,11 @@ QUERIES = 30_000
 # 1-core container).
 CONNECTIONS = 8
 PIPELINE = 128
-WORKER_COUNTS = (0, 1, 2)
 WINDOWS_MS = (0.0, 1.0, 2.0)  # batching off / default window / wide
 
 
-def _grid_cell(path, pairs, expected, *, workers, window_ms, queries_label,
-               repeats):
-    """One (workers, window) server config measured under load.
+def _grid_cell(path, pairs, expected, *, window_ms, queries_label, repeats):
+    """One batching-window server config measured under load.
 
     The workload runs ``repeats`` times against one server and the
     best run is recorded (same best-of-N discipline as the harness's
@@ -81,7 +73,6 @@ def _grid_cell(path, pairs, expected, *, workers, window_ms, queries_label,
     """
     server = serve_artifact(
         path,
-        workers=workers,
         window_s=window_ms / 1000.0,
         cache_size=0,  # raw query path; the cache gets its own row
     )
@@ -99,14 +90,13 @@ def _grid_cell(path, pairs, expected, *, workers, window_ms, queries_label,
             if report.answers != expected:
                 raise AssertionError(
                     f"served answers diverge from direct oracle "
-                    f"(workers={workers}, window={window_ms})"
+                    f"(window={window_ms})"
                 )
             if best is None or report.qps > best.qps:
                 best = report
         with ReachClient(*server.address) as client:
             stats = client.stats()
         return {
-            "workers": workers,
             "window_ms": window_ms,
             "qps": best.qps,
             "wall_s": best.wall_s,
@@ -184,44 +174,29 @@ def measure_family(name, make_graph, queries, tmpdir: Path, repeats: int) -> dic
     gc.collect()
 
     cells = []
-    for workers in WORKER_COUNTS:
-        for window_ms in WINDOWS_MS:
-            print(
-                f"  workers={workers} window={window_ms:g}ms ...",
-                file=sys.stderr,
-                flush=True,
+    for window_ms in WINDOWS_MS:
+        print(f"  window={window_ms:g}ms ...", file=sys.stderr, flush=True)
+        cells.append(
+            _grid_cell(
+                path,
+                pairs,
+                expected,
+                window_ms=window_ms,
+                queries_label=queries,
+                repeats=repeats,
             )
-            cells.append(
-                _grid_cell(
-                    path,
-                    pairs,
-                    expected,
-                    workers=workers,
-                    window_ms=window_ms,
-                    queries_label=queries,
-                    repeats=repeats,
-                )
-            )
+        )
     row["grid"] = cells
 
-    # Headline ratios per worker count: the default 1 ms window vs
-    # batching off, plus the best across the on-windows (both recorded
-    # so the headline is never quietly the 2 ms cell).
-    by_key = {(c["workers"], c["window_ms"]): c["qps"] for c in cells}
-    on_windows = [w for w in WINDOWS_MS if w > 0]
-    row["batching_speedup_1ms"] = {
-        str(w): round(by_key[(w, 1.0)] / max(1e-9, by_key[(w, 0.0)]), 2)
-        for w in WORKER_COUNTS
-    }
-    row["batching_speedup"] = {
-        str(w): round(
-            max(by_key[(w, win)] for win in on_windows)
-            / max(1e-9, by_key[(w, 0.0)]),
-            2,
-        )
-        for w in WORKER_COUNTS
-    }
-    row["best_batching_speedup"] = max(row["batching_speedup"].values())
+    # Headline ratios: the default 1 ms window vs batching off, plus the
+    # best across the on-windows (both recorded so the headline is never
+    # quietly the 2 ms cell).
+    qps = {c["window_ms"]: c["qps"] for c in cells}
+    off = max(1e-9, qps[0.0])
+    row["batching_speedup_1ms"] = round(qps[1.0] / off, 2)
+    row["batching_speedup"] = round(
+        max(qps[win] for win in WINDOWS_MS if win > 0) / off, 2
+    )
     row["best_qps"] = max(c["qps"] for c in cells)
     row["cache"] = _cache_row(path, n, queries)
     return row
@@ -251,12 +226,10 @@ def main() -> None:
         "pipeline": PIPELINE,
         "note": (
             "closed-loop pipelined single-pair requests over TCP; "
-            "batching_speedup_1ms = qps(window=1ms) / qps(window=0) per "
-            "worker count, batching_speedup = best on-window "
-            "(1ms or 2ms) / qps(window=0); answers asserted "
-            "bit-identical to a direct CompiledOracle before any number "
-            "is recorded; on a single-core host the worker axis "
-            "measures IPC cost, not CPU scaling (see cpu_count)"
+            "batching_speedup_1ms = qps(window=1ms) / qps(window=0), "
+            "batching_speedup = best on-window (1ms or 2ms) / "
+            "qps(window=0); answers asserted bit-identical to a direct "
+            "CompiledOracle before any number is recorded"
         ),
         "families": {},
     }
@@ -267,7 +240,7 @@ def main() -> None:
             doc["families"][name] = row
             print(
                 f"  best {row['best_qps']:,.0f} q/s; batching speedup "
-                f"{row['batching_speedup']} (workers: off->on); cache "
+                f"{row['batching_speedup']}x (off->on); cache "
                 f"{row['cache']['qps']:,.0f} q/s at "
                 f"{row['cache']['hit_rate']:.0%} hits",
                 file=sys.stderr,

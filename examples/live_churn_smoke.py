@@ -72,7 +72,6 @@ def main() -> int:
     parser.add_argument("--queries", type=int, default=4000)
     parser.add_argument("--batches", type=int, default=4)
     parser.add_argument("--batch-size", type=int, default=20)
-    parser.add_argument("--workers", type=int, default=0)
     parser.add_argument("--seed", type=int, default=23)
     args = parser.parse_args()
 
@@ -90,7 +89,7 @@ def main() -> int:
 
     DIRT = 0.05
     reach = Reachability(graph.copy(), "DL")
-    server = reach.serve(live=True, workers=args.workers, dirt_threshold=DIRT)
+    server = reach.serve(live=True, dirt_threshold=DIRT)
     try:
         churned = threading.Event()
 
@@ -120,7 +119,7 @@ def main() -> int:
         print(
             f"[churn] {args.dataset}: {n_ins} inserts + {n_rm} removals over "
             f"{len(ops_batches)} wire batches at {report.qps:,.0f} q/s, "
-            f"0 errors, answers == direct build (workers={args.workers})"
+            f"0 errors, answers == direct build"
         )
 
         # Phase 2: force the dirt threshold and watch the background

@@ -2,8 +2,7 @@
 
 The live-serving acceptance drill, end to end:
 
-1. build v1 of a dataset and serve it (optionally through a worker
-   pool),
+1. build v1 of a dataset and serve it,
 2. fire a pipelined query load at the server and, mid-load, hot-swap to
    a v2 artifact (the same graph plus fresh edges) through the
    epoch-versioned store,
@@ -15,10 +14,10 @@ The live-serving acceptance drill, end to end:
    insert the same edges over the wire (``OP_UPDATE``), asserting the
    same bit-identical outcome.
 
-Run from the repo root (CI runs both worker shapes on both backends)::
+Run from the repo root (CI runs both datasets on both backends)::
 
-    PYTHONPATH=src python examples/live_swap_smoke.py --dataset kegg --workers 0
-    PYTHONPATH=src python examples/live_swap_smoke.py --dataset arxiv --workers 2
+    PYTHONPATH=src python examples/live_swap_smoke.py --dataset kegg
+    PYTHONPATH=src python examples/live_swap_smoke.py --dataset arxiv
 """
 
 from __future__ import annotations
@@ -36,7 +35,8 @@ from repro.facade import Reachability
 from repro.graph.generators import novel_acyclic_edges
 from repro.live import VersionedArtifactStore
 from repro.server import ReachClient, run_load
-from repro.server.service import QueryService, ReachServer
+from repro.server.service import QueryService
+from repro.server.tcp import ReachServer
 
 
 def check(condition, message):
@@ -45,11 +45,11 @@ def check(condition, message):
         sys.exit(1)
 
 
-def swap_smoke(graph, g2, v1_path, v2_path, pairs, expected_v2, workers):
+def swap_smoke(graph, g2, v1_path, v2_path, pairs, expected_v2):
     """Phase 1: store-published swap under client load."""
     store = VersionedArtifactStore()
     store.publish(v1_path)
-    service = QueryService(store=store, owns_store=True, workers=workers).start()
+    service = QueryService(store=store, owns_store=True).start()
     server = ReachServer(service, owns_service=True).start()
     try:
         swapped = threading.Event()
@@ -78,10 +78,10 @@ def swap_smoke(graph, g2, v1_path, v2_path, pairs, expected_v2, workers):
         server.close()
 
 
-def update_smoke(graph, edges, pairs, expected_v2, workers):
+def update_smoke(graph, edges, pairs, expected_v2):
     """Phase 2: the same v2 reached through wire-protocol updates."""
     reach = Reachability(graph.copy(), "DL")
-    server = reach.serve(live=True, workers=workers)
+    server = reach.serve(live=True)
     try:
         with ReachClient(*server.address) as client:
             check(client.epoch() == 1, "live server must start at epoch 1")
@@ -100,7 +100,6 @@ def main() -> int:
     parser.add_argument("--dataset", default="kegg", choices=sorted(DATASETS))
     parser.add_argument("--queries", type=int, default=4000)
     parser.add_argument("--edges", type=int, default=25, help="v2 insertions")
-    parser.add_argument("--workers", type=int, default=0)
     parser.add_argument("--seed", type=int, default=17)
     args = parser.parse_args()
 
@@ -121,16 +120,14 @@ def main() -> int:
         # The referee: a direct serve-mode oracle on the v2 artifact.
         expected_v2 = Reachability.load(v2_path).query_batch(pairs)
 
-        report = swap_smoke(
-            graph, g2, v1_path, v2_path, pairs, expected_v2, args.workers
-        )
+        report = swap_smoke(graph, g2, v1_path, v2_path, pairs, expected_v2)
         print(
             f"[swap] {args.dataset}: {len(pairs)} queries at "
             f"{report.qps:,.0f} q/s across the swap, 0 errors, "
-            f"post-swap answers == direct v2 oracle (workers={args.workers})"
+            f"post-swap answers == direct v2 oracle"
         )
 
-        summary = update_smoke(graph, edges, pairs, expected_v2, args.workers)
+        summary = update_smoke(graph, edges, pairs, expected_v2)
         print(
             f"[update] {args.dataset}: {summary['edges']} edges -> epoch "
             f"{summary['epoch']} in {summary['swap_s'] * 1000:.1f} ms "

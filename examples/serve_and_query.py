@@ -3,8 +3,8 @@
 The full production lifecycle in one script, and the CI server smoke:
 
 1. build a pipeline artifact for a dataset stand-in,
-2. launch ``python -m repro.cli serve`` as a real subprocess (worker
-   processes mmap the artifact),
+2. launch ``python -m repro.cli serve`` as a real subprocess (it
+   mmaps the artifact),
 3. drive mixed (equal + uniform-random) queries through the binary
    client,
 4. assert every served answer is bit-identical to a direct
@@ -12,7 +12,6 @@ The full production lifecycle in one script, and the CI server smoke:
 5. shut the server down over the wire and assert a clean exit code.
 
 Run:  python examples/serve_and_query.py [--dataset kegg] [--queries 200]
-      [--workers 2]
 """
 
 import argparse
@@ -29,7 +28,6 @@ def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--dataset", default="kegg")
     parser.add_argument("--queries", type=int, default=200)
-    parser.add_argument("--workers", type=int, default=2)
     parser.add_argument("--batch-window", type=float, default=1.0, metavar="MS")
     args = parser.parse_args()
 
@@ -64,7 +62,6 @@ def main() -> int:
         [
             sys.executable, "-m", "repro.cli", "serve",
             "--artifact", artifact, "--port", "0",
-            "--workers", str(args.workers),
             "--batch-window", str(args.batch_window),
             "--ready-file", ready_file,
         ],
@@ -81,7 +78,7 @@ def main() -> int:
         else:
             raise RuntimeError("server did not become ready within 60s")
         host, port = open(ready_file).read().split()[:2]
-        print(f"server ready on {host}:{port} (workers={args.workers})")
+        print(f"server ready on {host}:{port}")
 
         with ReachClient(host, int(port)) as client:
             got = [client.query(*pairs[0])]  # scalar path

@@ -108,10 +108,10 @@ class MethodRun:
     ``loaded_size_ints`` land on the :class:`RunResult`.
 
     ``through_server=True`` goes one step further: the artifact is
-    served by a live :class:`~repro.server.service.ReachServer`
-    (micro-batching on, ``server_workers`` answer processes) and the
-    workloads are driven through the TCP client as pipelined
-    single-pair requests.  ``query_ms`` then holds client wall time,
+    served by a live :class:`~repro.server.tcp.ReachServer`
+    (micro-batching on) and the workloads are driven through the TCP
+    client as pipelined single-pair requests.  ``query_ms`` then holds
+    client wall time,
     ``query_percentiles`` the client-observed request latencies, and
     ``server_qps`` the measured throughput.
     """
@@ -122,7 +122,6 @@ class MethodRun:
         budget: Optional[BuildBudget] = None,
         through_artifact: bool = False,
         through_server: bool = False,
-        server_workers: int = 0,
         server_window_s: float = 0.001,
         server_live: bool = False,
         live_updates: int = 32,
@@ -131,7 +130,6 @@ class MethodRun:
         self.budget = budget or BuildBudget()
         self.through_artifact = through_artifact
         self.through_server = through_server
-        self.server_workers = server_workers
         self.server_window_s = server_window_s
         #: ``server_live`` upgrades ``through_server`` to a live server
         #: (epoch-versioned store + update path): each workload runs
@@ -257,7 +255,7 @@ class MethodRun:
 
         from ..serialization import save_artifact
         from ..server.client import run_load
-        from ..server.service import serve_artifact
+        from ..server.tcp import serve_artifact
 
         fd, path = tempfile.mkstemp(suffix=".rpro")
         os.close(fd)
@@ -266,7 +264,6 @@ class MethodRun:
             result.artifact_bytes = save_artifact(index, path)
             server = serve_artifact(
                 path,
-                workers=self.server_workers,
                 window_s=self.server_window_s,
                 cache_size=0,  # measure the query path, not the cache
             )
@@ -323,7 +320,6 @@ class MethodRun:
                 graph,
                 wl.pairs,
                 updates,
-                workers=self.server_workers,
                 window_s=self.server_window_s,
             )
             result.query_ms[wl.name] = (
@@ -381,7 +377,6 @@ def measure_live_swap(
     pairs: Sequence[Tuple[int, int]],
     updates: Sequence[Tuple[int, int]],
     *,
-    workers: int = 0,
     window_s: float = 0.001,
     connections: int = 4,
     pipeline: int = 32,
@@ -420,13 +415,12 @@ def measure_live_swap(
 
     from ..live import IncrementalCompiler, LiveIndex
     from ..server.client import run_load
-    from ..server.service import QueryService, ReachServer
+    from ..server.service import QueryService
+    from ..server.tcp import ReachServer
     from ..stats import percentiles
 
     live = LiveIndex(IncrementalCompiler(graph))
-    service = QueryService(
-        live=live, workers=workers, window_s=window_s, cache_size=0
-    )
+    service = QueryService(live=live, window_s=window_s, cache_size=0)
     server = None
     try:
         service.start()
@@ -741,7 +735,6 @@ def run_dataset(
     workers: Optional[int] = None,
     through_artifact: bool = False,
     through_server: bool = False,
-    server_workers: int = 0,
     server_window_s: float = 0.001,
     server_live: bool = False,
     live_updates: int = 32,
@@ -754,9 +747,8 @@ def run_dataset(
     only.  ``through_artifact`` reroutes the query measurements through
     a saved-and-reloaded binary artifact (the serve lifecycle);
     ``through_server`` goes further and drives them through a live TCP
-    server (``server_workers`` answer processes, micro-batching window
-    ``server_window_s``), reporting client-side latency percentiles
-    and queries/second.
+    server (micro-batching window ``server_window_s``), reporting
+    client-side latency percentiles and queries/second.
     """
     if graph is None:
         graph = load(dataset)
@@ -781,7 +773,6 @@ def run_dataset(
             budget,
             through_artifact=through_artifact,
             through_server=through_server,
-            server_workers=server_workers,
             server_window_s=server_window_s,
             server_live=server_live,
             live_updates=live_updates,

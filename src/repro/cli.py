@@ -14,7 +14,7 @@ Usage::
     python -m repro.cli query --artifact kegg.rpro --random 10000
     python -m repro.cli query --artifact kegg.rpro --pairs -   # stdin
     python -m repro.cli serve --artifact kegg.rpro --port 7431 \
-        --workers 4 --batch-window 1.0 --cache-size 65536
+        --batch-window 1.0 --cache-size 65536
     python -m repro.cli serve --artifact kegg.rpro --watch   # hot swap on
                                                  # atomic file replace
     python -m repro.cli serve --live kegg --port 7431        # updatable
@@ -32,8 +32,8 @@ a compiled artifact; ``query`` serves a workload from the artifact in a
 fresh process — no graph, arrays memory-mapped — which is exactly the
 production split the lifecycle is designed around.  ``serve`` keeps
 going: a TCP server (binary wire protocol, optional JSON/HTTP port)
-with a micro-batching front end, a sharded result cache, and an
-optional pool of worker processes that each mmap the same artifact.
+with a micro-batching front end and a sharded result cache, answering
+in-process; ``--replicas N`` is how a server uses more cores.
 
 Output of the table experiments is a text table shaped like the
 paper's (datasets × methods, "—" for methods over budget).
@@ -427,7 +427,8 @@ def _run_query(argv: List[str]) -> int:
 
 def _run_serve(argv: List[str]) -> int:
     """``serve``: a long-running query server over a saved artifact."""
-    from .server.service import HttpFrontend, serve_artifact
+    from .server.httpd import HttpFrontend
+    from .server.tcp import serve_artifact
 
     parser = argparse.ArgumentParser(
         prog="repro-bench serve",
@@ -448,9 +449,6 @@ def _run_serve(argv: List[str]) -> int:
     parser.add_argument("--host", default="127.0.0.1")
     parser.add_argument("--port", type=int, default=7431,
                         help="TCP port for the binary protocol (0 = ephemeral)")
-    parser.add_argument("--workers", type=int, default=0,
-                        help="answer processes, each mmap-loading the "
-                        "artifact (0 = answer in-process)")
     parser.add_argument("--replicas", type=int, default=0, metavar="N",
                         help="serve through a fault-tolerant tier: N "
                         "replica processes behind an epoch-shipping "
@@ -525,9 +523,6 @@ def _run_serve(argv: List[str]) -> int:
                          "frozen artifact epochs)")
         if args.watch:
             parser.error("--replicas and --watch are mutually exclusive")
-        if args.workers:
-            parser.error("--replicas spawns its own replica processes; "
-                         "drop --workers")
 
     if args.replicas:
         from .cluster import serve_replicated
@@ -553,7 +548,6 @@ def _run_serve(argv: List[str]) -> int:
         server = reach.serve(
             host=args.host,
             port=args.port,
-            workers=args.workers,
             batch_window_s=args.batch_window / 1000.0,
             adaptive_window=args.adaptive_window,
             max_batch=args.max_batch,
@@ -581,7 +575,6 @@ def _run_serve(argv: List[str]) -> int:
             args.artifact,
             host=args.host,
             port=args.port,
-            workers=args.workers,
             window_s=args.batch_window / 1000.0,
             adaptive_window=args.adaptive_window,
             max_batch=args.max_batch,
@@ -612,7 +605,7 @@ def _run_serve(argv: List[str]) -> int:
         host, port = server.address
         print(
             f"serving {served} on {host}:{port} "
-            f"(workers={args.workers}, batch_window={args.batch_window:g} ms, "
+            f"(batch_window={args.batch_window:g} ms, "
             f"cache={args.cache_size:,})",
             flush=True,
         )
@@ -643,7 +636,7 @@ def _parse_address(text: str) -> tuple:
 def _run_route(argv: List[str]) -> int:
     """``route``: a fault-tolerant router over already-running replicas."""
     from .cluster import ReplicaRouter
-    from .server.service import ReachServer
+    from .server.tcp import ReachServer
 
     parser = argparse.ArgumentParser(
         prog="repro-bench route",

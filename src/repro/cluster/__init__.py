@@ -8,7 +8,7 @@ This package turns N of them into a tier that survives any one of them:
   replica (jittered exponential backoff), hedged dispatch for tail
   requests, and explicit overload shedding.  It duck-types
   :class:`~repro.server.service.QueryService`, so a plain
-  :class:`~repro.server.service.ReachServer` is the tier's front end.
+  :class:`~repro.server.tcp.ReachServer` is the tier's front end.
 * :mod:`repro.cluster.health` — :class:`HealthMonitor` heartbeats
   every replica (``OP_EPOCH``), ejects after consecutive failures,
   re-admits through half-open probation, and flags epoch-lagging
@@ -78,7 +78,7 @@ def serve_replicated(
       :class:`~repro.live.VersionedArtifactStore` + :class:`EpochShipper`
       (which re-fills any replica that restarts blank), a
       :class:`ReplicaRouter` over them, and a
-      :class:`~repro.server.service.ReachServer` front end speaking the
+      :class:`~repro.server.tcp.ReachServer` front end speaking the
       ordinary wire protocol.
     * ``data_dir`` (+ ``graph`` for the first boot, ``sync`` for the
       journal's fsync policy) — the **durable** tier: a killable
@@ -100,7 +100,7 @@ def serve_replicated(
     hedging, health knobs).
     """
     from ..live.store import VersionedArtifactStore
-    from ..server.service import ReachServer
+    from ..server.tcp import ReachServer
 
     if replicas < 1:
         raise ValueError(f"replicas must be >= 1, got {replicas}")
@@ -179,7 +179,7 @@ def _serve_replicated_durable(
     import time
 
     from ..server.client import ReachClient
-    from ..server.service import ReachServer
+    from ..server.tcp import ReachServer
     from .replicate import PrimaryProcess, ReplicaProcess
 
     procs = []

@@ -292,7 +292,8 @@ class EpochShipper:
 def _replica_main(host: str, port: int, seed_path: Optional[str], ready) -> None:
     """Child entry point: blank-or-seeded store behind a ReachServer."""
     from ..live.store import VersionedArtifactStore
-    from ..server.service import QueryService, ReachServer
+    from ..server.service import QueryService
+    from ..server.tcp import ReachServer
 
     store = VersionedArtifactStore()
     try:
@@ -300,7 +301,6 @@ def _replica_main(host: str, port: int, seed_path: Optional[str], ready) -> None
             store.publish_snapshot(seed_path)
         service = QueryService(
             store=store,
-            workers=0,
             allow_empty_store=True,
             owns_store=True,
         )
@@ -464,7 +464,8 @@ def _primary_main(
     """
     from ..durability import JournaledPrimary
     from ..graph.digraph import DiGraph
-    from ..server.service import QueryService, ReachServer
+    from ..server.service import QueryService
+    from ..server.tcp import ReachServer
 
     graph = (
         DiGraph.from_edges(graph_spec[0], graph_spec[1])
@@ -474,7 +475,7 @@ def _primary_main(
     shipper = None
     try:
         primary = JournaledPrimary(data_dir, graph, sync=sync)
-        service = QueryService(primary=primary, workers=0, owns_store=True)
+        service = QueryService(primary=primary, owns_store=True)
         service.start()
         server = ReachServer(
             service, host, port, allow_shutdown=True, owns_service=True

@@ -3,7 +3,7 @@
 The router presents the same duck-typed surface as
 :class:`~repro.server.service.QueryService` (``query_pairs_async`` /
 ``current_epoch`` / ``stats`` / ``updater``), so a plain
-:class:`~repro.server.service.ReachServer` mounts it unchanged as the
+:class:`~repro.server.tcp.ReachServer` mounts it unchanged as the
 cluster's TCP front end — clients speak the one wire protocol whether
 they hit a single host or a replica set.
 

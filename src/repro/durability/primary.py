@@ -391,9 +391,9 @@ class JournaledPrimary:
 
         ``own_files=False`` means nobody else deletes them.  The newest
         ``keep_artifacts`` files always survive: the current epoch plus
-        recent predecessors that a worker holding an old lease may not
-        have mapped yet (the store's lease pins the *path*, not the
-        inode, until the worker opens it).
+        recent predecessors that a shipper holding an old lease may not
+        have opened yet (the store's lease pins the *path*, not the
+        inode, until the reader opens it).
         """
         try:
             names = sorted(

@@ -178,7 +178,6 @@ class Reachability:
         host: str = "127.0.0.1",
         port: int = 0,
         *,
-        workers: int = 0,
         batch_window_s: float = 0.001,
         adaptive_window: bool = False,
         max_batch: int = 65536,
@@ -195,13 +194,8 @@ class Reachability:
 
         The server answers the binary wire protocol of
         :mod:`repro.server` with exactly this facade's semantics
-        (original-graph ids, same-SCC pairs included).  With
-        ``workers == 0`` queries are answered in-process; with
-        ``workers > 0`` that many processes each memory-map the
-        pipeline artifact — for a build-mode facade one is saved to
-        ``artifact_path`` (or a temp file the server deletes on close),
-        while a serve-mode facade reuses the artifact it was loaded
-        from.  ``batch_window_s`` is the micro-batching window in
+        (original-graph ids, same-SCC pairs included), in-process.
+        ``batch_window_s`` is the micro-batching window in
         **seconds** (the CLI's ``--batch-window`` flag is milliseconds;
         ``adaptive_window`` lets it shrink under low arrival rate);
         ``cache_size`` the LRU result-cache budget (0 disables).
@@ -224,7 +218,10 @@ class Reachability:
         artifact, an epoch-shipping
         :class:`~repro.cluster.ReplicaRouter` fronts them with
         retries, health checks and hedging, and losing any one replica
-        costs retried requests, not failed ones.  See
+        costs retried requests, not failed ones.  A build-mode facade
+        saves its artifact to ``artifact_path`` (or a temp file the
+        server deletes on close); a serve-mode facade reuses the
+        artifact it was loaded from.  See
         :func:`repro.cluster.serve_replicated` (which this delegates
         to) for the moving parts; mutually exclusive with ``live``.
 
@@ -254,7 +251,8 @@ class Reachability:
         (True, False)
         >>> server.close()
         """
-        from .server.service import QueryService, ReachServer
+        from .server.service import QueryService
+        from .server.tcp import ReachServer
 
         if data_dir is not None and not live:
             raise ValueError(
@@ -311,7 +309,6 @@ class Reachability:
             return self._serve_live(
                 host,
                 port,
-                workers=workers,
                 batch_window_s=batch_window_s,
                 adaptive_window=adaptive_window,
                 max_batch=max_batch,
@@ -321,67 +318,13 @@ class Reachability:
                 sync=sync,
                 dirt_threshold=dirt_threshold,
             )
-        cleanup: list = []
-        if workers <= 0:
-            service = QueryService(
-                oracle=self,
-                workers=0,
-                window_s=batch_window_s,
-                adaptive_window=adaptive_window,
-                max_batch=max_batch,
-                cache_size=cache_size,
-            )
-        else:
-            import os
-
-            path = artifact_path
-            if path is None and self.is_serving:
-                art = getattr(self.index, "artifact", None)
-                path = getattr(art, "path", None)
-            if path is None:
-                import tempfile
-
-                fd, path = tempfile.mkstemp(suffix=".rpro", prefix="repro-serve-")
-                os.close(fd)
-                self.save(path)
-                cleanup.append(path)
-            elif self.is_serving:
-                # A serve-mode facade cannot re-save (the build side is
-                # gone); without the file the workers have nothing to map.
-                if not os.path.exists(path):
-                    raise FileNotFoundError(
-                        f"artifact file {path!r} no longer exists and a "
-                        "serve-mode Reachability cannot re-save it; restore "
-                        "the file or rebuild from the graph"
-                    )
-                # And the file must be THIS pipeline, not some other
-                # artifact at a caller-supplied path — the workers would
-                # silently serve the wrong index's answers.
-                from .serialization import artifact_info
-
-                meta = artifact_info(path)["meta"]
-                mine = self._serve_meta or {}
-                identity = ("original_n", "original_m", "dag_n", "dag_m", "method")
-                if any(meta.get(k) != mine.get(k) for k in identity):
-                    raise ValueError(
-                        f"artifact {path!r} does not match this pipeline "
-                        f"(it holds {meta.get('method')} over "
-                        f"n={meta.get('original_n')}, this facade serves "
-                        f"{mine.get('method')} over n={mine.get('original_n')})"
-                    )
-            else:
-                # Build mode with an explicit path: always (re)save, so
-                # the workers serve THIS pipeline — a stale file at the
-                # same path must not win silently.
-                self.save(path)
-            service = QueryService(
-                artifact_path=path,
-                workers=workers,
-                window_s=batch_window_s,
-                adaptive_window=adaptive_window,
-                max_batch=max_batch,
-                cache_size=cache_size,
-            )
+        service = QueryService(
+            oracle=self,
+            window_s=batch_window_s,
+            adaptive_window=adaptive_window,
+            max_batch=max_batch,
+            cache_size=cache_size,
+        )
         try:
             service.start()
             server = ReachServer(
@@ -391,17 +334,9 @@ class Reachability:
                 allow_shutdown=allow_shutdown,
                 owns_service=True,
             )
-            server.cleanup_paths.extend(cleanup)
             return server.start()
         except BaseException:
             service.close()
-            import os
-
-            for path in cleanup:
-                try:
-                    os.unlink(path)
-                except OSError:
-                    pass
             raise
 
     # ------------------------------------------------------------------
@@ -412,7 +347,6 @@ class Reachability:
         host: str,
         port: int,
         *,
-        workers: int,
         batch_window_s: float,
         adaptive_window: bool,
         max_batch: int,
@@ -424,7 +358,8 @@ class Reachability:
     ):
         """The ``serve(live=True)`` path: mount (or remount) a LiveIndex."""
         from .live import IncrementalCompiler, LiveIndex
-        from .server.service import QueryService, ReachServer
+        from .server.service import QueryService
+        from .server.tcp import ReachServer
 
         if self._live is not None and not self._live.closed:
             raise RuntimeError(
@@ -438,7 +373,6 @@ class Reachability:
                 data_dir=data_dir,
                 sync=sync,
                 dirt_threshold=dirt_threshold,
-                workers=workers,
                 batch_window_s=batch_window_s,
                 adaptive_window=adaptive_window,
                 max_batch=max_batch,
@@ -481,7 +415,6 @@ class Reachability:
         self._live = live
         service = QueryService(
             live=live,
-            workers=workers,
             window_s=batch_window_s,
             adaptive_window=adaptive_window,
             max_batch=max_batch,
@@ -513,7 +446,6 @@ class Reachability:
         data_dir,
         sync: str,
         dirt_threshold: float,
-        workers: int,
         batch_window_s: float,
         adaptive_window: bool,
         max_batch: int,
@@ -532,7 +464,8 @@ class Reachability:
         from .durability import JournaledPrimary
         from .durability.manifest import EpochManifest
         from .live import IncrementalCompiler
-        from .server.service import QueryService, ReachServer
+        from .server.service import QueryService
+        from .server.tcp import ReachServer
 
         compiler = None
         if EpochManifest(data_dir).load() is None:
@@ -553,7 +486,6 @@ class Reachability:
         self._live = primary.live
         service = QueryService(
             primary=primary,
-            workers=workers,
             window_s=batch_window_s,
             adaptive_window=adaptive_window,
             max_batch=max_batch,

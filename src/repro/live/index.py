@@ -301,8 +301,8 @@ class LiveIndex:
 
         What is published is a store-owned *snapshot* (hard link) of
         the file, so the caller may freely replace or delete their copy
-        afterwards — the epoch's content stays pinned for every worker
-        that still has to map it.  An attached compiler is detached
+        afterwards — the epoch's content stays pinned for every reader
+        that still has to open it.  An attached compiler is detached
         (see the class docstring).  Returns the new epoch.
         """
         if self._closed:

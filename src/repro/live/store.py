@@ -43,9 +43,8 @@ def artifact_of(oracle):
     """The backing :class:`~repro.artifact.Artifact`, if the oracle has one.
 
     Compiled method oracles carry it as ``oracle.artifact``; a
-    serve-mode facade carries it on its inner index.  Shared by the
-    store's drain path and the worker processes' epoch-swap path — the
-    one place that knows where an oracle keeps its mapping.
+    serve-mode facade carries it on its inner index.  The one place
+    that knows where an oracle keeps its mapping.
     """
     art = getattr(oracle, "artifact", None)
     if art is None:
@@ -226,8 +225,8 @@ class VersionedArtifactStore:
         not the caller's path — becomes the epoch's file, owned and
         unlinked by the store on drain.  This is mandatory for any
         externally-owned file that may be replaced or deleted while an
-        epoch still references it: an epoch-aware worker re-opens the
-        epoch's path on its first batch of that epoch, and the caller's
+        epoch still references it: the replica shipper re-opens the
+        epoch's path under a lease to ship it, and the caller's
         path would alias whatever content is there *by then*.  The
         snapshot pins the exact inode published, so epoch → content
         holds however the original file churns.

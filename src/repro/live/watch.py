@@ -15,8 +15,8 @@ published.
 
 What the watcher actually publishes is a **snapshot** (see
 :meth:`~repro.live.store.VersionedArtifactStore.publish_snapshot`):
-the watched *path* would alias every epoch — an epoch-aware worker
-re-opening it after a second replacement would map content the parent
+the watched *path* would alias every epoch — a replica shipper
+re-opening it after a second replacement would ship content the store
 never leased — while the snapshot pins the exact inode the signature
 saw, so the epoch → content binding holds however fast the file is
 replaced.

@@ -6,8 +6,7 @@ them to concurrent clients:
 
 * :mod:`repro.server.protocol` — the length-prefixed binary wire
   protocol (one ``u32 length | u8 opcode | u64 request_id`` header per
-  frame, bit-packed answers) plus a stdlib JSON-over-HTTP fallback for
-  curl-style clients.
+  frame, bit-packed answers).
 * :mod:`repro.server.cache` — a sharded LRU result cache with
   hit/miss/negative-answer statistics.
 * :mod:`repro.server.batching` — the micro-batching front end:
@@ -15,17 +14,21 @@ them to concurrent clients:
   coalesce into one batch for the vectorized engine; a lone request
   falls back to a single scalar query.
 * :mod:`repro.server.service` — :class:`QueryService` (cache →
-  batcher → oracle) with an optional pool of worker processes that
-  each mmap-load the same artifact (one physical copy, per PR 3), and
-  :class:`ReachServer`, the TCP front end.
+  batcher → in-process oracle), the one answer path every front end
+  shares.
+* :mod:`repro.server.tcp` — :class:`ReachServer`, the TCP front end,
+  and :func:`serve_artifact`, the one-call deployment path.
+* :mod:`repro.server.httpd` — :class:`~repro.server.httpd.HttpFrontend`,
+  the stdlib JSON/HTTP fallback for curl-style clients and scrapers.
 * :mod:`repro.server.client` — :class:`ReachClient` plus the
   open-/closed-loop load generator used by the harness and
   ``benchmarks/bench_server.py``.
 
 Answers are bit-identical to a direct
 :class:`~repro.core.compiled.CompiledOracle` on the same artifact —
-batching, caching and worker routing change throughput and latency
-only, never a single answer bit.
+batching and caching change throughput and latency only, never a
+single answer bit.  Scaling across cores is the replica tier's job
+(:mod:`repro.cluster`): every process answers in-process.
 
 Live serving (:mod:`repro.live`) plugs in underneath: a
 :class:`QueryService` built over a versioned artifact store leases one
@@ -38,7 +41,8 @@ from .batching import MicroBatcher
 from .cache import ShardedLRUCache
 from .client import LoadReport, ReachClient, percentiles, run_load
 from .protocol import OverloadedError
-from .service import QueryService, ReachServer, WorkerPool, serve_artifact
+from .service import QueryService
+from .tcp import ReachServer, serve_artifact
 
 __all__ = [
     "MicroBatcher",
@@ -50,6 +54,5 @@ __all__ = [
     "OverloadedError",
     "QueryService",
     "ReachServer",
-    "WorkerPool",
     "serve_artifact",
 ]

@@ -1,16 +1,15 @@
 """Micro-batching front end: coalesce concurrent requests into batches.
 
 The PR 2 batch engine is fastest when queries arrive in large ndarray
-batches, and a worker-pool dispatch pays one IPC round trip per task —
-both favour *fewer, bigger* units of work.  Individual clients send
-small requests, so the batcher buys throughput with a tiny latency
-deposit: the first request of a batch waits up to ``window_s``
+batches, which favours *fewer, bigger* units of work.  Individual
+clients send small requests, so the batcher buys throughput with a tiny
+latency deposit: the first request of a batch waits up to ``window_s``
 (default 1 ms) for company, then everything that accumulated is
 dispatched as one batch.
 
-The dispatch callback receives a :class:`Batch` and may complete it
-asynchronously (the worker-pool path resolves from its result-reader
-thread), so several batches can be in flight across workers at once.
+The dispatch callback receives a :class:`Batch` and resolves or fails
+it (:class:`~repro.server.service.QueryService` answers it in-process
+on the dispatching thread).
 A batch that coalesced nothing — one request, one pair — is flagged
 ``singleton`` so the executor can answer it with a scalar ``query``
 instead of paying array-batch setup: micro-batching under low load

@@ -1,4 +1,4 @@
-"""Wire protocol for the reachability service: binary frames + HTTP.
+"""Wire protocol for the reachability service: binary frames.
 
 The primary protocol is length-prefixed binary — the cheapest thing a
 Python front end can parse per request, and self-delimiting so one
@@ -77,19 +77,12 @@ Payloads:
 Responses may arrive out of submission order (micro-batching reorders
 freely); the request id is the only correlation contract.
 
-The **JSON/HTTP fallback** (:func:`make_http_handler`) serves the same
-service to stdlib-only or shell clients: ``POST /query`` with
-``{"pairs": [[u, v], ...]}`` returns ``{"answers": [...]}``;
-``GET /stats`` returns the service stats document (v2: includes a
-``telemetry`` section with mergeable histogram snapshots);
-``GET /metrics`` returns the same telemetry in Prometheus text
-exposition format (v0.0.4) for scrapers.  It exists for debuggability
-and scraping, not throughput — the binary protocol is the fast path.
+The JSON/HTTP fallback for stdlib-only or shell clients lives in
+:mod:`repro.server.httpd`; this module is the binary codec only.
 """
 
 from __future__ import annotations
 
-import json
 import struct
 from typing import Iterable, List, Optional, Sequence, Tuple
 
@@ -135,7 +128,6 @@ __all__ = [
     "FrameReader",
     "ProtocolError",
     "OverloadedError",
-    "make_http_handler",
 ]
 
 OP_QUERY = 1
@@ -472,90 +464,3 @@ class FrameReader:
     def pending(self) -> int:
         """Buffered byte count (diagnostics only)."""
         return len(self._buf)
-
-
-# ----------------------------------------------------------------------
-# JSON/HTTP fallback
-# ----------------------------------------------------------------------
-def make_http_handler(service, allow_shutdown: bool = True):
-    """An ``http.server`` handler class bound to a query service.
-
-    Routes: ``POST /query`` (JSON pairs in, JSON answers out),
-    ``GET /stats``, ``GET /metrics`` (Prometheus text exposition of
-    the service's telemetry registry plus every numeric stats leaf),
-    ``GET /traces`` (the tail-sampled slow-trace exemplars),
-    ``GET /healthz``, and — when ``allow_shutdown`` —
-    ``POST /shutdown``.  The handler calls the *blocking* service API,
-    so each HTTP connection rides the same cache → batcher → oracle
-    path as a binary client.
-    """
-    from http.server import BaseHTTPRequestHandler
-
-    class ReachHTTPHandler(BaseHTTPRequestHandler):
-        protocol_version = "HTTP/1.1"
-        server_version = "repro-reach/2"
-
-        def _send_json(self, doc: dict, status: int = 200) -> None:
-            body = json.dumps(doc).encode("utf-8")
-            self.send_response(status)
-            self.send_header("Content-Type", "application/json")
-            self.send_header("Content-Length", str(len(body)))
-            self.end_headers()
-            self.wfile.write(body)
-
-        def _send_metrics(self) -> None:
-            from ..telemetry import render_prometheus
-
-            telemetry = getattr(service, "telemetry", None)
-            registry = None if telemetry is None else telemetry.registry
-            body = render_prometheus(registry, service.stats()).encode("utf-8")
-            self.send_response(200)
-            self.send_header("Content-Type", "text/plain; version=0.0.4")
-            self.send_header("Content-Length", str(len(body)))
-            self.end_headers()
-            self.wfile.write(body)
-
-        def do_GET(self) -> None:  # noqa: N802 - stdlib handler API
-            if self.path == "/stats":
-                self._send_json(service.stats())
-            elif self.path == "/metrics":
-                self._send_metrics()
-            elif self.path == "/traces":
-                telemetry = getattr(service, "telemetry", None)
-                traces = (
-                    [] if telemetry is None else telemetry.sampler.snapshot()
-                )
-                self._send_json({"traces": traces})
-            elif self.path == "/healthz":
-                self._send_json({"ok": True})
-            else:
-                self._send_json({"error": f"unknown path {self.path}"}, 404)
-
-        def do_POST(self) -> None:  # noqa: N802 - stdlib handler API
-            if self.path == "/shutdown" and allow_shutdown:
-                self._send_json({"ok": True, "shutting_down": True})
-                shutdown = getattr(self.server, "request_shutdown", None)
-                if shutdown is not None:
-                    shutdown()
-                return
-            if self.path != "/query":
-                self._send_json({"error": f"unknown path {self.path}"}, 404)
-                return
-            try:
-                length = int(self.headers.get("Content-Length", "0"))
-                doc = json.loads(self.rfile.read(length) or b"{}")
-                pairs = [(int(u), int(v)) for u, v in doc["pairs"]]
-            except (KeyError, TypeError, ValueError) as exc:
-                self._send_json({"error": f"bad request: {exc!r}"}, 400)
-                return
-            try:
-                answers = service.query_pairs(pairs)
-            except Exception as exc:  # surface, don't kill the thread
-                self._send_json({"error": repr(exc)}, 500)
-                return
-            self._send_json({"count": len(answers), "answers": answers})
-
-        def log_message(self, fmt, *args) -> None:  # quiet by default
-            pass
-
-    return ReachHTTPHandler

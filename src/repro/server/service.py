@@ -1,472 +1,36 @@
-"""The query service: cache → micro-batcher → oracle (or worker pool).
+"""The query service: cache → micro-batcher → oracle.
 
-Topology
---------
 ::
 
-    clients ──TCP──▶ ReachServer ──▶ QueryService
+    front end (tcp.py / httpd.py) ──▶ QueryService
                                         │  cache (sharded LRU)
                                         │  MicroBatcher (≤ window_s)
                                         ▼
-                       workers == 0: in-process CompiledOracle
-                       workers  > 0: WorkerPool — N processes, each
-                                     mmap-loading the SAME artifact
-                                     (one physical copy, per PR 3)
+                                      in-process compiled oracle
 
 Every batch is answered by ``query_batch`` on a compiled oracle (the
 staged vectorized engine underneath), singletons by scalar ``query`` —
 so a served answer is bit-identical to asking the oracle directly.
-
-The worker pool exists for two reasons: CPU parallelism on multicore
-hosts (each worker is a full process, no GIL sharing), and memory
-safety — the artifact's arrays are mapped read-only and shared, so N
-workers cost one physical copy of the index no matter how large it is.
-Task payloads ride the wire codec from :mod:`repro.server.protocol`
-(packed pairs out, packed answer bits back), which keeps the IPC cost
-per *batch* instead of per query — exactly the economics micro-batching
-is there to exploit.
+Dispatch is in-process and nothing else: one label intersection costs
+less than shipping it to another process, so cores are used by the
+replica tier (:mod:`repro.cluster`), not by a pool behind this class.
 """
 
 from __future__ import annotations
 
-import json
-import os
-import socket as _socket
 import threading
 import time
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from .batching import Batch, MicroBatcher
 from .cache import ShardedLRUCache
-from . import protocol as proto
 from ..telemetry import Telemetry
 
-__all__ = ["QueryService", "WorkerPool", "ReachServer", "HttpFrontend", "serve_artifact"]
+__all__ = ["QueryService"]
 
 Pair = Tuple[int, int]
 
 
-# ----------------------------------------------------------------------
-# Worker pool
-# ----------------------------------------------------------------------
-def _close_oracle_artifact(oracle) -> None:
-    """Close the mmap behind a worker's retired oracle (best effort)."""
-    from ..live.store import artifact_of
-
-    art = artifact_of(oracle)
-    if art is not None:
-        try:
-            art.close()
-        except Exception:  # pragma: no cover - GC will unmap eventually
-            pass
-
-
-def _worker_main(
-    artifact_path: str,
-    initial_epoch: int,
-    tasks,
-    results,
-    task_sem,
-    lazy: bool = False,
-) -> None:
-    """Worker process: mmap-load the artifact, answer batches forever.
-
-    Messages in: ``(batch_id, epoch, path, payload)`` with the wire
-    pair encoding, or ``None`` to exit.  Messages out:
-    ``("ready", pid)`` once, then per task ``("start", batch_id, pid)``
-    followed by ``("ok", batch_id, payload)`` with packed answer bits
-    or ``("err", batch_id, message)``.  The ``start`` message is the
-    pool's death ledger: it tells the parent *which* batch a worker was
-    holding, so a SIGKILLed worker fails exactly that batch instead of
-    hanging it forever.
-
-    Epoch-aware serving: static pools dispatch epoch 0 forever and the
-    startup artifact serves every batch; a versioned pool dispatches
-    each batch with its leased ``(epoch, path)``, and a task carrying a
-    *different* epoch than the one currently mapped makes the worker
-    load that version's file before answering (the retired mapping is
-    closed) — each worker picks up a hot swap on its first batch of the
-    new epoch, with no coordination message and no idle reload churn.
-    The parent holds the batch's epoch lease until the reply arrives,
-    which is what keeps the file mappable here.
-
-    ``lazy=True`` (respawned workers) skips the startup load: the
-    startup path may already have drained from a versioned store, so
-    the replacement maps whichever file its first task leases instead
-    (falling back to ``artifact_path`` for static pools, whose file the
-    store never owns).
-    """
-    from ..serialization import load_artifact
-
-    if lazy:
-        oracle = None
-        current_epoch: Optional[int] = None
-    else:
-        oracle = load_artifact(artifact_path, mmap=True)
-        current_epoch = initial_epoch
-    import queue as _queue
-
-    results.put(("ready", os.getpid()))
-    pid = os.getpid()
-    while True:
-        # Block on the semaphore, not inside ``tasks.get()``: a queue
-        # read holds the queue's shared reader lock for the whole wait,
-        # and a worker SIGKILLed there would take the lock to its grave
-        # and poison the queue for every replacement.  Blocked semaphore
-        # waiters hold nothing, so idle kills are survivable; the get()
-        # below finds its item already buffered and returns at once.
-        #
-        # The get timeout is kept very short so the rlock is held for
-        # at most 0.05s per wait (shrinking — not eliminating, see the
-        # reaper docstring — the window where a SIGKILL lands on a
-        # worker holding the rlock and wedges the queue).  But an Empty
-        # poll does NOT yet prove the token was a compensating one from
-        # the reaper: ``mp.Queue.put`` hands the item to a feeder
-        # thread, and on a loaded single-core host the feeder can lag
-        # the semaphore release by far more than one poll.  Swallowing
-        # the token on first Empty would strand its task in the queue
-        # with no token forever — in steady state that is always the
-        # run's *last* batch, a client-visible hang.  So keep polling
-        # for a generous deadline before concluding the token had no
-        # task behind it.
-        task_sem.acquire()
-        task = None
-        deadline = time.monotonic() + 1.0
-        while True:
-            try:
-                task = tasks.get(timeout=0.05)
-                break
-            except _queue.Empty:
-                if time.monotonic() >= deadline:
-                    break  # a compensating token with no task behind it
-        if task is None:
-            continue
-        if task is None:
-            break
-        batch_id, epoch, path, payload = task
-        results.put(("start", batch_id, pid))
-        try:
-            if oracle is None or epoch != current_epoch:
-                fresh = load_artifact(path or artifact_path, mmap=True)
-                if oracle is not None:
-                    _close_oracle_artifact(oracle)
-                oracle = fresh
-                current_epoch = epoch
-            pairs = proto.decode_pairs(payload)
-            if len(pairs) == 1:
-                answers = [bool(oracle.query(*pairs[0]))]
-            else:
-                answers = oracle.query_batch(pairs)
-            results.put(("ok", batch_id, proto.encode_answers(answers)))
-        except Exception as exc:  # keep the worker alive; report per batch
-            results.put(("err", batch_id, repr(exc)))
-
-
-class WorkerPool:
-    """N answer processes over one mmap-shared artifact.
-
-    Prefers the ``fork`` start method (instant start, no re-import);
-    falls back to ``spawn`` elsewhere.  The pool is created *before*
-    any server thread starts, so forking is safe.  Dispatch is
-    asynchronous: batches queue to whichever worker frees up first,
-    and a reader thread resolves them, so up to N batches execute
-    concurrently.
-
-    The reader doubles as the pool's supervisor: workers announce each
-    batch they pick up (``("start", batch_id, pid)``), and the reader
-    polls liveness whenever the result queue goes quiet — a worker
-    killed mid-batch (OOM killer, operator SIGKILL) fails exactly its
-    announced batch with a clear error instead of hanging it forever,
-    and a replacement worker is respawned to keep the pool at full
-    strength.  Respawned workers load lazily from their first task's
-    leased path (the original startup file may have drained).
-    """
-
-    #: Result-queue poll slice; also the upper bound on how long a dead
-    #: worker can go unnoticed once the queue is quiet.
-    POLL_INTERVAL_S = 0.2
-
-    def __init__(
-        self,
-        artifact_path: str,
-        workers: int,
-        start_timeout: float = 60.0,
-        initial_epoch: int = 0,
-    ) -> None:
-        if workers < 1:
-            raise ValueError(f"workers must be >= 1, got {workers}")
-        import multiprocessing as mp
-
-        self.artifact_path = str(artifact_path)
-        self.workers = workers
-        self.initial_epoch = initial_epoch
-        try:
-            ctx = mp.get_context("fork")
-        except ValueError:  # pragma: no cover - non-POSIX hosts
-            ctx = mp.get_context("spawn")
-        self._ctx = ctx
-        self._tasks = ctx.Queue()
-        #: One token per queued task.  Workers block here instead of
-        #: inside ``tasks.get()`` so an idle SIGKILL cannot die holding
-        #: the queue's reader lock (which would wedge every survivor).
-        self._task_sem = ctx.Semaphore(0)
-        self._results = ctx.Queue()
-        self._lock = threading.Lock()
-        self._pending: Dict[int, Batch] = {}
-        self._active: Dict[int, int] = {}  # worker pid -> batch_id it holds
-        self._next_id = 0
-        self._dispatched = 0
-        self._errors = 0
-        self._respawns = 0
-        self._spawn_seq = workers
-        self._closed = False
-        self._reader: Optional[threading.Thread] = None
-        self._procs = [
-            ctx.Process(
-                target=_worker_main,
-                args=(
-                    self.artifact_path,
-                    initial_epoch,
-                    self._tasks,
-                    self._results,
-                    self._task_sem,
-                ),
-                daemon=True,
-                name=f"repro-serve-worker-{i}",
-            )
-            for i in range(workers)
-        ]
-        for proc in self._procs:
-            proc.start()
-        # Block until every worker has its oracle mapped — a server that
-        # accepts traffic before the pool is warm would stall its first
-        # window of batches behind artifact loads.
-        import queue as _queue
-
-        deadline = time.monotonic() + start_timeout
-        ready = 0
-        while ready < workers:
-            remaining = deadline - time.monotonic()
-            if remaining <= 0:
-                self.close()
-                raise RuntimeError(
-                    f"worker pool startup timed out ({ready}/{workers} ready)"
-                )
-            try:
-                # Short slices so a worker that dies loading the
-                # artifact fails the pool immediately instead of
-                # burning the whole start timeout.
-                msg = self._results.get(timeout=min(0.25, remaining))
-            except _queue.Empty:
-                dead = [p for p in self._procs if not p.is_alive()]
-                if not dead:
-                    continue
-                self.close()
-                raise RuntimeError(
-                    f"{len(dead)} worker(s) died loading "
-                    f"{self.artifact_path!r} before reporting ready "
-                    f"({ready}/{workers} ready)"
-                ) from None
-            if msg[0] == "ready":
-                ready += 1
-        self._reader = threading.Thread(
-            target=self._read_results, name="repro-pool-reader", daemon=True
-        )
-        self._reader.start()
-
-    # -- dispatch ------------------------------------------------------
-    def dispatch(self, batch: Batch, lease=None) -> None:
-        """Queue a batch; the reader thread resolves it on completion.
-
-        ``lease`` (live serving) pins one artifact epoch for the whole
-        batch: its ``(epoch, path)`` ride the task so the worker maps
-        the right version, and the lease is released only once the
-        batch resolves — which is what keeps the epoch's file on disk
-        until every worker that needs it has mapped it.
-        """
-        payload = proto.encode_pairs(batch.pairs)
-        if lease is None:
-            epoch, path = 0, ""
-        else:
-            epoch, path = lease.epoch, lease.path
-        with self._lock:
-            if self._closed:
-                if lease is not None:
-                    lease.release()
-                batch.fail(RuntimeError("worker pool closed"))
-                return
-            batch_id = self._next_id
-            self._next_id += 1
-            self._pending[batch_id] = (batch, lease)
-            self._dispatched += 1
-        self._tasks.put((batch_id, epoch, path, payload))
-        self._task_sem.release()
-
-    def _read_results(self) -> None:
-        import queue as _queue
-
-        while True:
-            try:
-                msg = self._results.get(timeout=self.POLL_INTERVAL_S)
-            except _queue.Empty:
-                # Quiet queue: every message a dead worker managed to
-                # send has been drained, so is_alive() is now a truthful
-                # verdict on its announced batch.
-                if self._closed:
-                    return
-                self._reap_dead_workers()
-                continue
-            if msg is None:
-                return
-            kind = msg[0]
-            if kind == "ready":  # a respawned replacement came up
-                continue
-            if kind == "start":
-                _kind, batch_id, pid = msg
-                with self._lock:
-                    self._active[pid] = batch_id
-                continue
-            kind, batch_id, payload = msg
-            with self._lock:
-                entry = self._pending.pop(batch_id, None)
-                for pid, held in list(self._active.items()):
-                    if held == batch_id:
-                        del self._active[pid]
-            if entry is None:  # late reply after close; nothing waits
-                continue
-            batch, lease = entry
-            try:
-                if kind == "ok":
-                    batch.resolve(
-                        proto.decode_answers(payload),
-                        epoch=None if lease is None else lease.epoch,
-                    )
-                else:
-                    with self._lock:
-                        self._errors += 1
-                    batch.fail(RuntimeError(f"worker failed: {payload}"))
-            finally:
-                if lease is not None:
-                    lease.release()
-
-    def _reap_dead_workers(self) -> None:
-        """Fail dead workers' announced batches; respawn replacements.
-
-        Called from the reader thread only, and only when the result
-        queue is drained — so an announced-but-unanswered batch held by
-        a dead process really is lost, not merely queued.  Two residual
-        windows remain:
-
-        * A worker dying between ``tasks.get()`` and its ``start``
-          announcement: that batch's task vanished with the process and
-          times out at the client instead of failing fast.  The window
-          is a few instructions wide.
-        * A worker dying *inside* ``tasks.get()`` — reachable when a
-          compensating token from this reaper wakes it with no task
-          behind it — dies holding the queue's shared reader lock and
-          wedges the queue for every survivor.  The get timeout is kept
-          very short (0.05s) precisely to shrink this window; it cannot
-          be closed entirely without replacing ``mp.Queue``.
-        """
-        with self._lock:
-            if self._closed:
-                return
-            dead = [p for p in self._procs if not p.is_alive()]
-        for proc in dead:
-            pid = proc.pid
-            with self._lock:
-                if self._closed:
-                    return
-                self._procs.remove(proc)
-                batch_id = self._active.pop(pid, None)
-                entry = (
-                    self._pending.pop(batch_id, None)
-                    if batch_id is not None
-                    else None
-                )
-                self._respawns += 1
-                if entry is not None:
-                    self._errors += 1
-                name = f"repro-serve-worker-r{self._spawn_seq}"
-                self._spawn_seq += 1
-                replacement = self._ctx.Process(
-                    target=_worker_main,
-                    args=(
-                        self.artifact_path,
-                        self.initial_epoch,
-                        self._tasks,
-                        self._results,
-                        self._task_sem,
-                        True,  # lazy: the startup file may have drained
-                    ),
-                    daemon=True,
-                    name=name,
-                )
-                self._procs.append(replacement)
-            replacement.start()
-            # The dead worker may have consumed a task token without
-            # finishing the task (killed between acquire and get, or
-            # mid-batch).  A compensating token keeps tokens >= queued
-            # tasks; at worst a spurious token costs one Empty poll.
-            self._task_sem.release()
-            if entry is not None:
-                batch, lease = entry
-                if lease is not None:
-                    lease.release()
-                batch.fail(
-                    RuntimeError(
-                        f"worker process (pid {pid}, exit code "
-                        f"{proc.exitcode}) died while answering this "
-                        "batch; a replacement worker was respawned — "
-                        "the request is safe to retry"
-                    )
-                )
-
-    # -- lifecycle -----------------------------------------------------
-    def close(self, timeout: float = 5.0) -> None:
-        """Stop workers and the reader; fail anything still pending."""
-        with self._lock:
-            if self._closed:
-                return
-            self._closed = True
-            pending = list(self._pending.values())
-            self._pending.clear()
-            self._active.clear()
-        for batch, lease in pending:
-            if lease is not None:
-                lease.release()
-            batch.fail(RuntimeError("worker pool closed"))
-        for _ in self._procs:
-            self._tasks.put(None)
-            self._task_sem.release()
-        for proc in self._procs:
-            try:
-                proc.join(timeout=timeout)
-                if proc.is_alive():  # pragma: no cover - stuck worker
-                    proc.terminate()
-                    proc.join(timeout=1.0)
-            except (AssertionError, ValueError):  # pragma: no cover
-                pass  # a respawned replacement raced close() before start()
-        if self._reader is not None:
-            self._results.put(None)
-            self._reader.join(timeout=timeout)
-        self._tasks.close()
-        self._results.close()
-
-    def stats(self) -> dict:
-        with self._lock:
-            return {
-                "workers": self.workers,
-                "dispatched_batches": self._dispatched,
-                "in_flight": len(self._pending),
-                "worker_errors": self._errors,
-                "respawns": self._respawns,
-            }
-
-
-# ----------------------------------------------------------------------
-# Query service
-# ----------------------------------------------------------------------
 def _oracle_bound(oracle) -> int:
     """The exclusive vertex-id bound the oracle accepts."""
     original = getattr(oracle, "original", None)
@@ -519,13 +83,11 @@ class QueryService:
     Exactly one of ``artifact_path`` / ``oracle`` / ``store`` / ``live``
     picks the answer source:
 
-    * ``artifact_path`` — a static artifact file (loaded in-process, or
-      mmap-loaded by each worker when ``workers > 0``).
-    * ``oracle`` — a live in-process oracle (``workers == 0`` only).
+    * ``artifact_path`` — a static artifact file (mmap-loaded in-process).
+    * ``oracle`` — a live in-process oracle.
     * ``store`` — a :class:`repro.live.VersionedArtifactStore`: every
       batch leases the store's current epoch, so hot swaps published
-      into the store take effect batch-atomically.  Works with worker
-      pools (the lease's epoch + path ride each task).
+      into the store take effect batch-atomically.
     * ``live`` — a :class:`repro.live.LiveIndex`: its store serves as
       above *and* its update path is mounted as :attr:`updater`, which
       the TCP front end exposes as the ``OP_UPDATE`` /
@@ -549,8 +111,7 @@ class QueryService:
     published epoch — the shape of a blank replica waiting for its
     first shipped snapshot.  Queries before the first publish fail with
     a clear "no published epoch" error (never a crash), and serving
-    begins the moment an epoch lands.  Requires ``workers == 0``: a
-    pool has no file to map until something is published.
+    begins the moment an epoch lands.
     """
 
     def __init__(
@@ -561,7 +122,6 @@ class QueryService:
         store=None,
         live=None,
         primary=None,
-        workers: int = 0,
         window_s: float = 0.001,
         adaptive_window: bool = False,
         max_batch: int = 65536,
@@ -595,28 +155,14 @@ class QueryService:
             #: for the wire ``OP_UPDATE`` / ``OP_UPDATE_SEQ``; None on
             #: servers without an update path.
             self.updater = None
-        if workers > 0 and artifact_path is None and self._store is None:
-            raise ValueError(
-                "worker processes mmap-load the artifact themselves; "
-                "serving a live oracle requires workers=0 (or save it "
-                "to an artifact first)"
-            )
-        if allow_empty_store:
-            if self._store is None:
-                raise ValueError("allow_empty_store requires a store/live source")
-            if workers > 0:
-                raise ValueError(
-                    "allow_empty_store requires workers=0: a pool has "
-                    "no artifact to map until an epoch is published"
-                )
+        if allow_empty_store and self._store is None:
+            raise ValueError("allow_empty_store requires a store/live source")
         self.allow_empty_store = allow_empty_store
         self.artifact_path = None if artifact_path is None else str(artifact_path)
-        self.workers = workers
         self.window_s = window_s
         self.cache = ShardedLRUCache(cache_size, shards=cache_shards)
         self._oracle = oracle
         self._owns_store = owns_store
-        self._pool: Optional[WorkerPool] = None
         self._batcher = MicroBatcher(
             self._route,
             window_s=window_s,
@@ -717,28 +263,12 @@ class QueryService:
         if self._store is not None:
             if self._store.current_epoch is None and not self.allow_empty_store:
                 raise RuntimeError("the artifact store has no published epoch")
-            if self.workers > 0:
-                # Lease the epoch across pool startup so a concurrent
-                # publish cannot drain (and unlink) the file the
-                # workers are busy mapping.
-                with self._store.acquire() as lease:
-                    self._pool = WorkerPool(
-                        lease.path, self.workers, initial_epoch=lease.epoch
-                    )
-        elif self.workers > 0:
-            self._pool = WorkerPool(self.artifact_path, self.workers)
         elif self._oracle is None:
             from ..serialization import load_artifact
 
             self._oracle = load_artifact(self.artifact_path, mmap=True)
         if self._oracle is not None:
             self._bound = _oracle_bound(self._oracle)
-        elif self._store is None:
-            # Workers own the oracle; read the bound from the header.
-            from ..serialization import artifact_info
-
-            meta = artifact_info(self.artifact_path)["meta"]
-            self._bound = int(meta.get("original_n") or meta.get("n"))
         self._batcher.start()
         self._started = True
         self._started_at = time.monotonic()
@@ -749,9 +279,6 @@ class QueryService:
             return
         self._closed = True
         self._batcher.close()
-        if self._pool is not None:
-            self._pool.close()
-            self._pool = None
         if self._owns_store:
             if self._primary is not None:
                 self._primary.close()
@@ -814,7 +341,7 @@ class QueryService:
         return self._epoch_and_bound()[1]
 
     def _route(self, batch: Batch) -> None:
-        """Batcher dispatch target: pool when present, else in-process.
+        """Batcher dispatch target: answer the batch in-process.
 
         Versioned sources lease the store's current epoch here — one
         lease per batch, released when the batch resolves — so every
@@ -834,7 +361,7 @@ class QueryService:
             # if a swap to a smaller graph flipped in between, catch it
             # here with a clear error instead of letting the oracle
             # index out of range (which would surface as an opaque
-            # worker/engine exception).  Only the requests that carry
+            # engine exception).  Only the requests that carry
             # an out-of-range pair fail — innocent requests coalesced
             # into the same batch are re-batched and answered normally.
             bound = self._bound_for(lease)
@@ -857,9 +384,6 @@ class QueryService:
                     lease.release()
                     return
                 batch = Batch(good)
-        if self._pool is not None:
-            self._pool.dispatch(batch, lease)
-            return
         try:
             oracle = self._oracle if lease is None else lease.oracle
             if batch.singleton:
@@ -1083,7 +607,6 @@ class QueryService:
         doc = {
             "stats_version": 2,
             "artifact": artifact,
-            "workers": self.workers,
             "n": self._current_bound(),
             "epoch": self.current_epoch,
             "uptime_s": (
@@ -1095,8 +618,6 @@ class QueryService:
             "cache": self.cache.stats(),
             "batcher": self._batcher.stats(),
         }
-        if self._pool is not None:
-            doc["pool"] = self._pool.stats()
         degraded: List[str] = []
 
         def subsection(name: str, provider) -> None:
@@ -1120,616 +641,3 @@ class QueryService:
         if self.telemetry is not None:
             doc["telemetry"] = self.telemetry.snapshot()
         return doc
-
-
-# ----------------------------------------------------------------------
-# TCP front end
-# ----------------------------------------------------------------------
-def _is_loopback(host: str) -> bool:
-    """Whether a bind host only reaches local clients."""
-    return host in ("127.0.0.1", "localhost", "::1") or host.startswith("127.")
-
-
-class _ConnWriter:
-    """Per-connection response writer that batches frames per flush.
-
-    Query completions *queue* frames; one :meth:`flush` per
-    (batch, connection) concatenates and writes them — one syscall for
-    a whole micro-batch of responses instead of one per request.
-    Control replies (ping, stats, errors) use :meth:`send_now`.
-    """
-
-    __slots__ = ("_conn", "_frames", "_buf_lock", "_send_lock", "_dead")
-
-    def __init__(self, conn) -> None:
-        self._conn = conn
-        self._frames: List[bytes] = []
-        self._buf_lock = threading.Lock()
-        self._send_lock = threading.Lock()
-        self._dead = False
-
-    def queue(self, op: int, request_id: int, payload: bytes = b"") -> None:
-        frame = proto.pack_frame(op, request_id, payload)
-        with self._buf_lock:
-            if not self._dead:
-                self._frames.append(frame)
-
-    def flush(self) -> None:
-        with self._buf_lock:
-            if self._dead or not self._frames:
-                return
-            data = b"".join(self._frames)
-            self._frames.clear()
-        try:
-            with self._send_lock:
-                self._conn.sendall(data)
-        except OSError:
-            # A failed/timed-out sendall may have written PART of a
-            # frame; anything sent afterwards would be parsed mid-frame
-            # by the client.  The stream is unrecoverable: mark the
-            # writer dead and drop the connection (the reader thread
-            # wakes from recv() and cleans up).
-            with self._buf_lock:
-                self._dead = True
-                self._frames.clear()
-            try:
-                self._conn.shutdown(_socket.SHUT_RDWR)
-            except OSError:
-                pass
-            try:
-                self._conn.close()
-            except OSError:  # pragma: no cover
-                pass
-
-    def send_now(self, op: int, request_id: int, payload: bytes = b"") -> None:
-        self.queue(op, request_id, payload)
-        self.flush()
-
-
-class ReachServer:
-    """Threaded TCP server speaking the binary frame protocol.
-
-    One reader thread per connection; responses are written from
-    whichever thread resolves the batch (a per-connection lock keeps
-    frames whole), so a pipelining client gets true request
-    concurrency — which is what feeds the micro-batcher.
-
-    ``port=0`` binds an ephemeral port (see :attr:`address`).
-    ``allow_shutdown`` honours the ``OP_SHUTDOWN`` frame.  The frame is
-    unauthenticated, so the default (``None``) enables it only when
-    ``host`` is loopback; binding other interfaces disables it unless a
-    caller passes ``True`` explicitly.
-    """
-
-    def __init__(
-        self,
-        service: QueryService,
-        host: str = "127.0.0.1",
-        port: int = 0,
-        *,
-        allow_shutdown: Optional[bool] = None,
-        backlog: int = 128,
-        owns_service: bool = False,
-    ) -> None:
-        self.service = service
-        self.host = host
-        self.port = port
-        if allow_shutdown is None:
-            allow_shutdown = _is_loopback(host)
-        self.allow_shutdown = allow_shutdown
-        self.backlog = backlog
-        self._owns_service = owns_service
-        self._listener = None
-        self._accept_thread: Optional[threading.Thread] = None
-        self._conn_lock = threading.Lock()
-        self._conns: List[object] = []
-        self._conn_threads: List[threading.Thread] = []
-        self._done = threading.Event()
-        self._closed = False
-        self._connections_total = 0
-        #: Files the server owns and deletes on close (e.g. the temp
-        #: artifact a build-mode facade saved for its worker pool).
-        self.cleanup_paths: List[str] = []
-        #: Callables run during close(), after connections drain but
-        #: before the owned service shuts down — watchers, live
-        #: indices, anything whose lifetime is tied to this server.
-        #: Exceptions are swallowed: shutdown must finish.
-        self.cleanup_callbacks: List[Callable[[], None]] = []
-        #: Extension opcodes: ``{op: fn(request_id, payload, writer)}``,
-        #: consulted before the "unexpected opcode" error.  This is how
-        #: a replica mounts ``OP_SHIP`` (epoch replication) on a plain
-        #: ReachServer without subclassing; handlers run on the
-        #: connection's reader thread and reply through ``writer``.
-        self.handlers: Dict[int, Callable[[int, bytes, _ConnWriter], None]] = {}
-
-    # -- lifecycle -----------------------------------------------------
-    def start(self) -> "ReachServer":
-        # Resolve the bind family from the host ('::1' needs AF_INET6).
-        family, socktype, protocol, _cname, addr = _socket.getaddrinfo(
-            self.host, self.port, type=_socket.SOCK_STREAM
-        )[0]
-        sock = _socket.socket(family, socktype, protocol)
-        try:
-            sock.setsockopt(_socket.SOL_SOCKET, _socket.SO_REUSEADDR, 1)
-            sock.bind(addr)
-            sock.listen(self.backlog)
-        except BaseException:
-            # A failed start leaves no socket behind, and close() on
-            # the unstarted server stays a clean no-op.
-            sock.close()
-            raise
-        self._listener = sock
-        self.port = sock.getsockname()[1]
-        self._accept_thread = threading.Thread(
-            target=self._accept_loop, name="repro-server-accept", daemon=True
-        )
-        self._accept_thread.start()
-        return self
-
-    @property
-    def address(self) -> Tuple[str, int]:
-        return (self.host, self.port)
-
-    def wait(self, timeout: Optional[float] = None) -> bool:
-        """Block until the server closes; True if it did."""
-        return self._done.wait(timeout)
-
-    def close(self) -> None:
-        """Stop accepting, drop connections, join threads."""
-        with self._conn_lock:
-            if self._closed:
-                return
-            self._closed = True
-            conns = list(self._conns)
-            threads = list(self._conn_threads)
-        if self._listener is not None:
-            # shutdown() is what actually wakes a thread blocked in
-            # accept(); close() alone leaves it sleeping on Linux.
-            try:
-                self._listener.shutdown(_socket.SHUT_RDWR)
-            except OSError:
-                pass
-            try:
-                self._listener.close()
-            except OSError:  # pragma: no cover
-                pass
-        for conn in conns:
-            # Same shutdown-then-close dance as the listener: close()
-            # alone leaves a thread blocked in recv() sleeping forever.
-            try:
-                conn.shutdown(_socket.SHUT_RDWR)
-            except OSError:
-                pass
-            try:
-                conn.close()
-            except OSError:  # pragma: no cover
-                pass
-        current = threading.current_thread()
-        if self._accept_thread is not None and self._accept_thread is not current:
-            self._accept_thread.join(timeout=5.0)
-        for thread in threads:
-            if thread is not current:
-                thread.join(timeout=5.0)
-        # Callbacks first (watchers must stop publishing before the
-        # service closes the store they publish into), then the service.
-        for callback in self.cleanup_callbacks:
-            try:
-                callback()
-            except Exception:  # pragma: no cover - shutdown must finish
-                pass
-        if self._owns_service:
-            self.service.close()
-        for path in self.cleanup_paths:
-            try:
-                os.unlink(path)
-            except OSError:  # pragma: no cover - already gone
-                pass
-        self._done.set()
-
-    def __enter__(self) -> "ReachServer":
-        return self.start()
-
-    def __exit__(self, *exc) -> None:
-        self.close()
-
-    # -- connection handling -------------------------------------------
-    def _accept_loop(self) -> None:
-        while True:
-            try:
-                conn, _addr = self._listener.accept()
-            except OSError:  # listener closed
-                return
-            # Per-connection setup must not be able to kill the accept
-            # loop: a client that connects and immediately resets can
-            # make setsockopt raise on some platforms (the socket is
-            # already dead), and losing the accept thread to one broken
-            # peer would refuse every future connection.
-            try:
-                conn.setsockopt(_socket.IPPROTO_TCP, _socket.TCP_NODELAY, 1)
-                # A send timeout (send only — recv must keep blocking
-                # for idle keep-alive clients) so one client that stops
-                # reading cannot park the shared resolver thread in
-                # sendall() forever and head-of-line-block every other
-                # connection.
-                try:
-                    import struct as _struct
-
-                    conn.setsockopt(
-                        _socket.SOL_SOCKET,
-                        _socket.SO_SNDTIMEO,
-                        _struct.pack("ll", 30, 0),
-                    )
-                except (AttributeError, OSError):  # pragma: no cover
-                    pass  # platform without SO_SNDTIMEO: degrade
-            except OSError:
-                try:
-                    conn.close()
-                except OSError:  # pragma: no cover
-                    pass
-                continue
-            with self._conn_lock:
-                if self._closed:
-                    conn.close()
-                    return
-                self._conns.append(conn)
-                self._connections_total += 1
-                thread = threading.Thread(
-                    target=self._serve_connection,
-                    args=(conn,),
-                    name="repro-server-conn",
-                    daemon=True,
-                )
-                self._conn_threads.append(thread)
-                # Start under the lock: close() must never snapshot a
-                # registered-but-unstarted thread (join would raise and
-                # abort shutdown half-done).
-                thread.start()
-
-    def _serve_connection(self, conn) -> None:
-        reader = proto.FrameReader(conn)
-        writer = _ConnWriter(conn)
-        send = writer.send_now
-        try:
-            while True:
-                try:
-                    frame = reader.read_frame()
-                except proto.ProtocolError as exc:
-                    send(
-                        proto.OP_ERROR,
-                        proto.CONNECTION_ERROR_ID,
-                        repr(exc).encode("utf-8"),
-                    )
-                    return
-                except OSError:
-                    return
-                if frame is None:
-                    return
-                op, request_id, payload = frame
-                try:
-                    if op == proto.OP_QUERY:
-                        self._handle_query(request_id, payload, writer)
-                    elif op == proto.OP_QUERY_TRACED:
-                        self._handle_query(
-                            request_id, payload, writer, traced=True
-                        )
-                    elif op == proto.OP_TRACE:
-                        telemetry = getattr(self.service, "telemetry", None)
-                        traces = (
-                            []
-                            if telemetry is None
-                            else telemetry.sampler.snapshot()
-                        )
-                        send(
-                            proto.OP_TRACE_REPLY,
-                            request_id,
-                            json.dumps(traces).encode("utf-8"),
-                        )
-                    elif op == proto.OP_PING:
-                        send(proto.OP_PONG, request_id)
-                    elif op == proto.OP_EPOCH:
-                        send(
-                            proto.OP_EPOCH_REPLY,
-                            request_id,
-                            proto.encode_epoch(self.service.current_epoch),
-                        )
-                    elif op == proto.OP_UPDATE:
-                        self._handle_update(request_id, payload, send)
-                    elif op == proto.OP_UPDATE_SEQ:
-                        self._handle_update(
-                            request_id, payload, send, sequenced=True
-                        )
-                    elif op == proto.OP_STATS:
-                        doc = dict(self.service.stats())
-                        doc["connections_total"] = self._connections_total
-                        send(
-                            proto.OP_STATS_REPLY,
-                            request_id,
-                            json.dumps(doc).encode("utf-8"),
-                        )
-                    elif op == proto.OP_SHUTDOWN:
-                        if self.allow_shutdown:
-                            send(proto.OP_PONG, request_id)
-                            self.close()
-                            return
-                        send(
-                            proto.OP_ERROR,
-                            request_id,
-                            b"shutdown disabled on this server",
-                        )
-                    elif op in self.handlers:
-                        self.handlers[op](request_id, payload, writer)
-                    else:
-                        send(
-                            proto.OP_ERROR,
-                            request_id,
-                            f"unexpected opcode {op}".encode("utf-8"),
-                        )
-                except Exception as exc:
-                    # A handler bug (or a malformed payload it did not
-                    # expect) costs the one request that triggered it,
-                    # never the connection — and the accept loop is a
-                    # different thread entirely, so the server keeps
-                    # serving either way.
-                    send(proto.OP_ERROR, request_id, repr(exc).encode("utf-8"))
-        finally:
-            try:
-                conn.close()
-            except OSError:  # pragma: no cover
-                pass
-            current = threading.current_thread()
-            with self._conn_lock:
-                if conn in self._conns:
-                    self._conns.remove(conn)
-                # Drop the finished thread's bookkeeping too, or a
-                # long-lived server grows a list of dead threads (one
-                # per connection ever accepted).
-                if current in self._conn_threads:
-                    self._conn_threads.remove(current)
-
-    def _handle_update(
-        self, request_id: int, payload: bytes, send, *, sequenced: bool = False
-    ) -> None:
-        """``OP_UPDATE``(+``_SEQ``): apply an edge stream to a live index.
-
-        Runs on the connection's reader thread — updates serialise on
-        the live index's lock anyway, and a pipelining client can keep
-        querying on other connections while its update compiles.  The
-        reply is the JSON publish summary (new ``epoch``, ``changed``
-        count, ``swap_s``…).  A sequenced request carries
-        ``(client, seq)`` and its summary echoes them plus ``deduped``;
-        a duplicate returns the original summary unapplied.
-        """
-        if self.service.updater is None:
-            send(
-                proto.OP_ERROR,
-                request_id,
-                b"this server has no update path (serve a live index: "
-                b"Reachability.serve(live=True))",
-            )
-            return
-        try:
-            if sequenced:
-                client, seq, ops = proto.decode_update_seq(payload)
-            else:
-                client, seq = None, None
-                ops = proto.decode_ops(payload)
-        except proto.ProtocolError as exc:
-            send(proto.OP_ERROR, request_id, repr(exc).encode("utf-8"))
-            return
-        try:
-            if sequenced:
-                summary = self.service.updater(ops, client=client, seq=seq)
-            else:
-                summary = self.service.updater(ops)
-        except Exception as exc:  # bad edges must not kill the connection
-            send(proto.OP_ERROR, request_id, repr(exc).encode("utf-8"))
-            return
-        send(
-            proto.OP_UPDATE_REPLY,
-            request_id,
-            json.dumps(summary).encode("utf-8"),
-        )
-
-    def _handle_query(
-        self, request_id: int, payload: bytes, writer, *, traced: bool = False
-    ) -> None:
-        trace = None
-        try:
-            if traced:
-                t0 = time.perf_counter_ns()
-                trace_id, pairs = proto.decode_traced_query(payload)
-                telemetry = getattr(self.service, "telemetry", None)
-                if telemetry is not None:
-                    # The client allocated the id; the span clock is
-                    # this server's.  A telemetry-off server answers
-                    # normally and just drops the id.
-                    trace = telemetry.new_trace(trace_id)
-                    trace.start_ns = t0  # the request began at decode
-                    trace.add_span("decode", t0, time.perf_counter_ns())
-            else:
-                pairs = proto.decode_pairs(payload)
-        except proto.ProtocolError as exc:
-            writer.send_now(proto.OP_ERROR, request_id, repr(exc).encode("utf-8"))
-            return
-
-        def on_answers(answers, error) -> None:
-            if error is None:
-                writer.queue(
-                    proto.OP_ANSWERS, request_id, proto.encode_answers(answers)
-                )
-            elif isinstance(error, proto.OverloadedError):
-                # Distinct wire op: a shed request failed *because of
-                # pressure*, not because it was wrong — a router retries
-                # it on another replica, a client backs off.
-                writer.queue(
-                    proto.OP_OVERLOADED, request_id, str(error).encode("utf-8")
-                )
-            else:
-                writer.queue(
-                    proto.OP_ERROR, request_id, repr(error).encode("utf-8")
-                )
-
-        # Completions only queue; the batch (or the service's
-        # synchronous paths) flushes each connection once per batch.
-        on_answers.flush_writer = writer.flush
-        self.service.query_pairs_async(pairs, on_answers, trace=trace)
-
-
-# ----------------------------------------------------------------------
-# HTTP front end (JSON fallback)
-# ----------------------------------------------------------------------
-class HttpFrontend:
-    """The stdlib JSON/HTTP fallback mounted on the same service.
-
-    ``on_shutdown`` is what a ``POST /shutdown`` actually stops.  It
-    defaults to closing just this frontend; a deployment that mounts
-    HTTP next to a :class:`ReachServer` (the CLI does) passes the whole
-    server's ``close`` so the documented shutdown route takes the
-    entire service down, exactly like the binary ``OP_SHUTDOWN``.
-    """
-
-    def __init__(
-        self,
-        service: QueryService,
-        host: str = "127.0.0.1",
-        port: int = 0,
-        *,
-        allow_shutdown: bool = True,
-        on_shutdown: Optional[Callable[[], None]] = None,
-    ) -> None:
-        from http.server import ThreadingHTTPServer
-
-        handler = proto.make_http_handler(service, allow_shutdown=allow_shutdown)
-        family = _socket.getaddrinfo(host, port, type=_socket.SOCK_STREAM)[0][0]
-        server_cls = ThreadingHTTPServer
-        if family != ThreadingHTTPServer.address_family:
-            server_cls = type(
-                "ReachHTTPServer", (ThreadingHTTPServer,), {"address_family": family}
-            )
-        self._httpd = server_cls((host, port), handler)
-        self._on_shutdown = on_shutdown
-        self._httpd.request_shutdown = self.close_async
-        self.host, self.port = self._httpd.server_address[:2]
-        self._thread: Optional[threading.Thread] = None
-        self._closed = False
-
-    def start(self) -> "HttpFrontend":
-        self._thread = threading.Thread(
-            target=self._httpd.serve_forever,
-            kwargs={"poll_interval": 0.05},
-            name="repro-server-http",
-            daemon=True,
-        )
-        self._thread.start()
-        return self
-
-    @property
-    def address(self) -> Tuple[str, int]:
-        return (self.host, self.port)
-
-    def close_async(self) -> None:
-        """Run the shutdown target without blocking the handler thread."""
-        target = self._on_shutdown or self.close
-        threading.Thread(target=target, daemon=True).start()
-
-    def close(self) -> None:
-        if self._closed:
-            return
-        self._closed = True
-        self._httpd.shutdown()
-        self._httpd.server_close()
-        if self._thread is not None:
-            self._thread.join(timeout=5.0)
-            self._thread = None
-
-
-# ----------------------------------------------------------------------
-# Convenience entry point
-# ----------------------------------------------------------------------
-def serve_artifact(
-    artifact_path: str,
-    host: str = "127.0.0.1",
-    port: int = 0,
-    *,
-    workers: int = 0,
-    window_s: float = 0.001,
-    adaptive_window: bool = False,
-    max_batch: int = 65536,
-    cache_size: int = 65536,
-    allow_shutdown: Optional[bool] = None,
-    watch: bool = False,
-    watch_interval_s: float = 0.5,
-    telemetry=True,
-) -> ReachServer:
-    """Start a TCP server over a saved artifact; returns the running server.
-
-    The one-call deployment path::
-
-        server = serve_artifact("kegg.rpro", port=7431, workers=4)
-        server.wait()
-
-    ``watch=True`` serves the artifact through an epoch-versioned store
-    and polls the file every ``watch_interval_s``: atomically replacing
-    it on disk (write new + ``os.rename``) hot-swaps the served version
-    without dropping a connection.  The returned server owns its
-    :class:`QueryService` (and, when watching, the store + watcher) —
-    ``close()`` (or a client's ``OP_SHUTDOWN``) tears everything down.
-    ``allow_shutdown=None`` (default) honours the unauthenticated
-    shutdown frame only on loopback hosts.
-    """
-    watcher = None
-    if watch:
-        from ..live import ArtifactWatcher, VersionedArtifactStore
-
-        store = VersionedArtifactStore()
-        # The watcher publishes epoch 1 too: every epoch is a private
-        # snapshot (hard link) of the watched file, so epoch -> content
-        # stays bound however fast the operator replaces the path, and
-        # the pre-load signature capture closes the replace-during-load
-        # race.
-        watcher = ArtifactWatcher(store, artifact_path, interval_s=watch_interval_s)
-        try:
-            watcher.publish_current()
-        except BaseException:
-            watcher.close()
-            store.close()
-            raise
-        service = QueryService(
-            store=store,
-            workers=workers,
-            window_s=window_s,
-            adaptive_window=adaptive_window,
-            max_batch=max_batch,
-            cache_size=cache_size,
-            owns_store=True,
-            telemetry=telemetry,
-        )
-    else:
-        service = QueryService(
-            artifact_path,
-            workers=workers,
-            window_s=window_s,
-            adaptive_window=adaptive_window,
-            max_batch=max_batch,
-            cache_size=cache_size,
-            telemetry=telemetry,
-        )
-    try:
-        service.start()
-        server = ReachServer(
-            service,
-            host,
-            port,
-            allow_shutdown=allow_shutdown,
-            owns_service=True,
-        )
-        if watcher is not None:
-            # Stop polling before the service (and its store) go down.
-            server.cleanup_callbacks.append(watcher.close)
-            watcher.start()
-        return server.start()
-    except BaseException:
-        if watcher is not None:
-            watcher.close()
-        service.close()
-        raise

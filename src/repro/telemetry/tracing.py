@@ -48,8 +48,8 @@ def new_trace_id() -> int:
 class TraceContext:
     """One request's spans, accumulated as the request flows through.
 
-    ``add_span`` may be called from any thread (batcher, pool reader,
-    resolver) — list appends are atomic under the GIL, and the span
+    ``add_span`` may be called from any thread (connection reader,
+    batcher, resolver) — list appends are atomic under the GIL, and the span
     list is only *read* after :meth:`finish`, which the completion
     callback calls exactly once.
     """

@@ -182,15 +182,6 @@ class TestThroughServer:
         # answers served over TCP match the direct run bit for bit
         assert r.correct_positive_rate == direct.correct_positive_rate
 
-    def test_through_server_with_worker_processes(self, small_graph):
-        wl = prepare_workloads(small_graph, ["equal"], 60)
-        direct = MethodRun("DL").execute("test", small_graph, wl)
-        r = MethodRun(
-            "DL", through_server=True, server_workers=1
-        ).execute("test", small_graph, wl)
-        assert r.ok, r.error
-        assert r.correct_positive_rate == direct.correct_positive_rate
-
     def test_run_dataset_through_server(self, small_graph):
         results = run_dataset(
             "x",

@@ -15,7 +15,8 @@ from repro.facade import Reachability
 from repro.graph.generators import random_dag
 from repro.serialization import load_artifact
 from repro.server import ReachClient
-from repro.server.service import QueryService, ReachServer
+from repro.server.service import QueryService
+from repro.server.tcp import ReachServer
 
 
 @pytest.fixture(scope="module")
@@ -28,7 +29,7 @@ def backend(tmp_path_factory):
     pairs = [(rng.randrange(g.n), rng.randrange(g.n)) for _ in range(60)]
     expected = [bool(a) for a in direct.query_batch(pairs)]
     server = ReachServer(
-        QueryService(path, workers=0).start(), owns_service=True
+        QueryService(path).start(), owns_service=True
     ).start()
     yield server, pairs, expected
     server.close()

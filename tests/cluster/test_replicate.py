@@ -24,7 +24,8 @@ from repro.graph.generators import random_dag
 from repro.live import VersionedArtifactStore
 from repro.serialization import load_artifact
 from repro.server import ReachClient, run_load
-from repro.server.service import QueryService, ReachServer
+from repro.server.service import QueryService
+from repro.server.tcp import ReachServer
 
 
 def _wait_for(predicate, timeout_s, message):
@@ -58,7 +59,7 @@ class TestShipHandler:
         """An in-process store-backed server with the ship handler."""
         store = VersionedArtifactStore()
         service = QueryService(
-            store=store, owns_store=True, workers=0, allow_empty_store=True
+            store=store, owns_store=True, allow_empty_store=True
         ).start()
         server = ReachServer(service, owns_service=True)
         install_ship_handler(server, store)

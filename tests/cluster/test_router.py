@@ -12,7 +12,8 @@ from repro.graph.generators import random_dag
 from repro.serialization import load_artifact
 from repro.server import protocol as proto
 from repro.server.protocol import OverloadedError
-from repro.server.service import QueryService, ReachServer
+from repro.server.service import QueryService
+from repro.server.tcp import ReachServer
 
 
 @pytest.fixture(scope="module")
@@ -29,7 +30,7 @@ def artifact(tmp_path_factory):
 
 def _static_server(path):
     return ReachServer(
-        QueryService(path, workers=0).start(), owns_service=True
+        QueryService(path).start(), owns_service=True
     ).start()
 
 

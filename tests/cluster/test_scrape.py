@@ -14,7 +14,8 @@ from repro.cluster import ReplicaRouter
 from repro.facade import Reachability
 from repro.graph.generators import random_dag
 from repro.serialization import load_artifact
-from repro.server.service import QueryService, ReachServer
+from repro.server.service import QueryService
+from repro.server.tcp import ReachServer
 from repro.telemetry import Telemetry
 
 
@@ -33,7 +34,6 @@ def artifact(tmp_path_factory):
 def _observed_server(path):
     service = QueryService(
         path,
-        workers=0,
         telemetry=Telemetry(sample_every=1, latency_every=1),
     ).start()
     return ReachServer(service, owns_service=True).start()

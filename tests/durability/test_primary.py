@@ -26,7 +26,7 @@ def _crash(p):
 
 
 def _answers(p, pairs):
-    svc = QueryService(primary=p, workers=0).start()
+    svc = QueryService(primary=p).start()
     try:
         return [bool(a) for a in svc.query_pairs(pairs)]
     finally:

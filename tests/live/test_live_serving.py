@@ -12,7 +12,8 @@ from repro.graph.digraph import DiGraph
 from repro.graph.generators import novel_acyclic_edges, path_dag, random_dag
 from repro.live import ArtifactWatcher, IncrementalCompiler, LiveIndex, VersionedArtifactStore
 from repro.server import ReachClient, run_load
-from repro.server.service import QueryService, ReachServer, serve_artifact
+from repro.server.service import QueryService
+from repro.server.tcp import ReachServer, serve_artifact
 
 
 @pytest.fixture()
@@ -70,47 +71,6 @@ class TestQueryServiceStoreMode:
             with pytest.raises(ValueError, match="out of range"):
                 service.query_pairs([(0, 149)])
             assert service.query(0, 9) is True
-
-
-class TestWorkerPoolEpochs:
-    def test_workers_pick_up_new_epoch(self, live_index):
-        g, li = live_index
-        service = QueryService(live=li, workers=2, window_s=0)
-        try:
-            service.start()
-            before = service.query(0, 149)
-            assert isinstance(before, bool)
-            edges, shadow = novel_acyclic_edges(g, 8, seed=31)
-            li.apply_updates(edges)
-            fresh = Reachability(shadow, "DL")
-            rng = random.Random(32)
-            pairs = [(rng.randrange(g.n), rng.randrange(g.n)) for _ in range(600)]
-            assert service.query_pairs(pairs) == fresh.query_batch(pairs)
-            assert service.stats()["pool"]["worker_errors"] == 0
-        finally:
-            service.close()
-
-    def test_epoch_file_survives_until_workers_answered(self, live_index):
-        # The lease held per dispatched batch keeps each epoch's file
-        # alive for the workers even though the store owns (and later
-        # unlinks) it; many interleaved updates must never produce a
-        # worker error from a vanished file.
-        g, li = live_index
-        service = QueryService(live=li, workers=2, window_s=0)
-        try:
-            service.start()
-            rng = random.Random(33)
-            for _ in range(5):
-                edges, _ = novel_acyclic_edges(li.compiler.original, 2, seed=rng.randrange(10**6))
-                if edges:
-                    li.apply_updates(edges)
-                pairs = [
-                    (rng.randrange(g.n), rng.randrange(g.n)) for _ in range(50)
-                ]
-                service.query_pairs(pairs)
-            assert service.stats()["pool"]["worker_errors"] == 0
-        finally:
-            service.close()
 
 
 class TestWireProtocolOps:
@@ -535,11 +495,10 @@ class TestServeModeSwapReServe:
 class TestSwapSnapshotPinning:
     def test_swapped_file_may_be_deleted_immediately(self, tmp_path):
         # swap_artifact publishes a snapshot, so the caller's file is
-        # free to go the moment the call returns — even with a worker
-        # pool that maps epochs lazily.
+        # free to go the moment the call returns.
         g = random_dag(40, 100, seed=9)
         r = Reachability(path_dag(40), "DL")
-        server = r.serve(live=True, workers=2)
+        server = r.serve(live=True)
         try:
             v2 = str(tmp_path / "v2.rpro")
             Reachability(g.copy(), "DL").save(v2)
@@ -547,7 +506,7 @@ class TestSwapSnapshotPinning:
                 [(u, v) for u in range(0, 40, 3) for v in range(0, 40, 3)]
             )
             r.swap_artifact(v2)
-            os.unlink(v2)  # gone before any worker mapped it
+            os.unlink(v2)  # gone before the first query of the new epoch
             with ReachClient(*server.address) as client:
                 pairs = [(u, v) for u in range(0, 40, 3) for v in range(0, 40, 3)]
                 assert client.query_batch(pairs) == expected

@@ -1,10 +1,9 @@
-"""Tests for the query service, worker pool, TCP server, and HTTP fallback.
+"""Tests for the query service, TCP server, and HTTP fallback.
 
 The acceptance property lives here: served answers are **bit-identical**
 to a direct :class:`CompiledOracle` on the same artifact — for every
 registered method through the facade pipeline artifact, across seeded
-DAGs, with batching on and off, in-process and through worker
-processes.
+DAGs, with batching on and off.
 """
 
 import json
@@ -18,7 +17,7 @@ from repro.facade import Reachability
 from repro.graph.generators import citation_dag, random_dag
 from repro.serialization import load_artifact
 from repro.server import QueryService, ReachClient, ReachServer, serve_artifact
-from repro.server.service import HttpFrontend
+from repro.server.httpd import HttpFrontend
 
 ALL_METHODS = [
     "BFS", "DFS", "GL", "GL*", "PT", "PT*", "KR", "PW8", "INT",
@@ -77,12 +76,27 @@ class TestQueryService:
             with pytest.raises(ValueError, match="out of range"):
                 service.query_pairs([(-1, 0)])
 
-    def test_workers_require_artifact(self):
+    def test_workers_require_artifact(self, pipeline_artifact):
+        """Exactly one answer source; the ``workers`` knob is gone."""
+        path, _pairs, _expected = pipeline_artifact
         g = random_dag(20, 40, seed=7)
-        with pytest.raises(ValueError, match="workers=0"):
-            QueryService(oracle=Reachability(g), workers=2)
         with pytest.raises(ValueError, match="exactly one"):
             QueryService()
+        with pytest.raises(ValueError, match="exactly one"):
+            QueryService(path, oracle=Reachability(g))
+        with pytest.raises(TypeError, match="workers"):
+            QueryService(path, workers=1)
+        with pytest.raises(TypeError, match="workers"):
+            serve_artifact(path, workers=1)
+        with pytest.raises(TypeError, match="workers"):
+            Reachability(g).serve(workers=1)
+
+    def test_single_pair_rides_scalar_path(self, pipeline_artifact):
+        path, pairs, expected = pipeline_artifact
+        with QueryService(path, cache_size=0, window_s=0.0) as service:
+            for pair, want in zip(pairs[:20], expected[:20]):
+                assert service.query_pairs([pair]) == [want]
+            assert service.stats()["single_dispatches"] == 20
 
     def test_stats_document_shape(self, pipeline_artifact):
         path, pairs, _expected = pipeline_artifact
@@ -91,131 +105,11 @@ class TestQueryService:
             stats = service.stats()
             assert stats["requests"] == 1
             assert stats["pairs"] == 50
-            assert stats["workers"] == 0
             assert "hit_rate" in stats["cache"]
             assert "mean_batch_pairs" in stats["batcher"]
             # pipeline artifacts serve a serve-mode facade underneath
             assert stats["oracle"]["serve_mode"] is True
             assert stats["oracle"]["index"]["method"] == "DL"
-
-
-class TestWorkerPool:
-    def test_worker_answers_match_direct(self, pipeline_artifact):
-        path, pairs, expected = pipeline_artifact
-        with QueryService(path, workers=2, cache_size=0) as service:
-            assert service.query_pairs(pairs) == expected
-            pool = service.stats()["pool"]
-            assert pool["workers"] == 2
-            assert pool["dispatched_batches"] >= 1
-            assert pool["worker_errors"] == 0
-
-    def test_single_pair_rides_scalar_path(self, pipeline_artifact):
-        path, pairs, expected = pipeline_artifact
-        with QueryService(path, workers=1, cache_size=0, window_s=0.0) as service:
-            for pair, want in zip(pairs[:20], expected[:20]):
-                assert service.query_pairs([pair]) == [want]
-            assert service.stats()["single_dispatches"] == 20
-
-    def test_worker_death_on_bad_artifact_fails_fast(self, tmp_path):
-        import time
-
-        bad = tmp_path / "garbage.rpro"
-        bad.write_bytes(b"not an artifact at all")
-        t0 = time.monotonic()
-        with pytest.raises(RuntimeError, match="died loading"):
-            QueryService(str(bad), workers=1).start()
-        # short-slice polling, not the full 60s start timeout
-        assert time.monotonic() - t0 < 30
-
-    def test_close_is_idempotent_and_clean(self, pipeline_artifact):
-        path, pairs, _expected = pipeline_artifact
-        service = QueryService(path, workers=1).start()
-        service.query_pairs(pairs[:10])
-        service.close()
-        service.close()
-
-
-class TestWorkerCrashRecovery:
-    """SIGKILLed workers fail fast and the pool heals to full strength."""
-
-    def test_sigkill_mid_batch_fails_fast_and_respawns(
-        self, pipeline_artifact, monkeypatch
-    ):
-        import concurrent.futures
-        import os
-        import signal
-        import time
-
-        from repro.server import protocol as proto
-
-        path, pairs, expected = pipeline_artifact
-        # The pool forks its workers, so a decode hook patched *before*
-        # start() rides into the child: a sentinel-sized batch freezes
-        # mid-execution, giving the kill a deterministic window.
-        real_decode = proto.decode_pairs
-
-        def gated_decode(payload):
-            decoded = real_decode(payload)
-            if len(decoded) == 1337:
-                time.sleep(30.0)
-            return decoded
-
-        monkeypatch.setattr(proto, "decode_pairs", gated_decode)
-        service = QueryService(path, workers=1, cache_size=0, window_s=0.0)
-        service.start()
-        try:
-            pool = service._pool
-            marked = (pairs * 6)[:1337]
-            with concurrent.futures.ThreadPoolExecutor(1) as executor:
-                future = executor.submit(service.query_pairs, marked)
-                deadline = time.monotonic() + 10.0
-                while time.monotonic() < deadline and not pool._active:
-                    time.sleep(0.005)
-                assert pool._active, "worker never announced the batch"
-                (victim_pid,) = pool._active
-                os.kill(victim_pid, signal.SIGKILL)
-                # Fail-fast: the announced batch dies with the worker —
-                # well inside the 30 s the batch would otherwise take.
-                t0 = time.monotonic()
-                with pytest.raises(RuntimeError, match="safe to retry"):
-                    future.result(timeout=20.0)
-                assert time.monotonic() - t0 < 10.0
-            # ...and the respawned (lazily loading) replacement answers.
-            assert service.query_pairs(pairs[:40]) == expected[:40]
-            stats = service.stats()["pool"]
-            assert stats["respawns"] == 1
-            assert stats["worker_errors"] == 1
-        finally:
-            service.close()
-
-    def test_killing_every_idle_worker_heals_the_pool(self, pipeline_artifact):
-        import os
-        import signal
-        import time
-
-        path, pairs, expected = pipeline_artifact
-        service = QueryService(path, workers=2, cache_size=0).start()
-        try:
-            assert service.query_pairs(pairs) == expected
-            pool = service._pool
-            for proc in list(pool._procs):
-                os.kill(proc.pid, signal.SIGKILL)
-            deadline = time.monotonic() + 10.0
-            while time.monotonic() < deadline:
-                if pool.stats()["respawns"] >= 2 and all(
-                    p.is_alive() for p in pool._procs
-                ):
-                    break
-                time.sleep(0.05)
-            stats = pool.stats()
-            assert stats["respawns"] == 2
-            # Idle kills lose no batch: errors stay at zero...
-            assert stats["worker_errors"] == 0
-            # ...and the healed pool still serves bit-identical answers.
-            assert service.query_pairs(pairs) == expected
-            assert len(pool._procs) == 2
-        finally:
-            service.close()
 
 
 class TestReachServer:
@@ -303,7 +197,14 @@ class TestCloseSemantics:
 
     def test_unstarted_service_close_is_safe(self, pipeline_artifact):
         path, _pairs, _expected = pipeline_artifact
-        service = QueryService(path, workers=1)  # never start()ed
+        service = QueryService(path)  # never start()ed
+        service.close()
+        service.close()
+
+    def test_started_service_close_is_idempotent(self, pipeline_artifact):
+        path, pairs, _expected = pipeline_artifact
+        service = QueryService(path).start()
+        service.query_pairs(pairs[:10])
         service.close()
         service.close()
 
@@ -384,20 +285,5 @@ class TestServedBitIdentical:
                 # one-by-one as well (scalar fallback + cache path)
                 for pair, want in zip(pairs[:30], expected[:30]):
                     assert client.query(*pair) == want
-        finally:
-            server.close()
-
-    def test_worker_processes_share_artifact_and_answers(self, tmp_path):
-        g = random_dag(150, 400, seed=21)
-        reach = Reachability(g, "DL")
-        path = str(tmp_path / "w.rpro")
-        reach.save(path)
-        direct = load_artifact(path)
-        pairs = _mixed_pairs(g.n, 300, seed=22)
-        expected = [bool(a) for a in direct.query_batch(pairs)]
-        server = serve_artifact(path, workers=2, window_s=0.001, cache_size=0)
-        try:
-            with ReachClient(*server.address) as client:
-                assert client.query_batch(pairs) == expected
         finally:
             server.close()

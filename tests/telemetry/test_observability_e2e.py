@@ -15,7 +15,9 @@ import pytest
 from repro.facade import Reachability
 from repro.graph.generators import random_dag
 from repro.server.client import ReachClient
-from repro.server.service import HttpFrontend, QueryService, ReachServer
+from repro.server.httpd import HttpFrontend
+from repro.server.service import QueryService
+from repro.server.tcp import ReachServer
 from repro.telemetry import Telemetry
 
 from tests.telemetry.test_metrics import _parse_prometheus
@@ -41,12 +43,27 @@ def traced_server(artifact):
     path, _, _ = artifact
     # cache_size=0 keeps every traced request on the full batcher →
     # dispatch path instead of answering from the LRU.
-    service = QueryService(
-        path, workers=0, telemetry=_sample_all(), cache_size=0
-    ).start()
+    service = QueryService(path, telemetry=_sample_all(), cache_size=0).start()
     server = ReachServer(service, owns_service=True).start()
     yield server
     server.close()
+
+
+def _wait_for_trace(client, wanted, timeout_s=5.0):
+    """Poll ``client.traces()`` until a trace satisfies ``wanted``.
+
+    The server offers a trace to the sampler *after* the reply's flush
+    span closes (the flush has to be timed first), so the reply can
+    reach the client before its trace is retained.  Returns
+    ``(matching, last_snapshot)``; ``matching`` is empty on timeout.
+    """
+    deadline = time.monotonic() + timeout_s
+    while True:
+        traces = client.traces()
+        ours = [t for t in traces if wanted(t)]
+        if ours or time.monotonic() >= deadline:
+            return ours, traces
+        time.sleep(0.01)
 
 
 class TestWireTracing:
@@ -55,16 +72,9 @@ class TestWireTracing:
         with ReachClient(*traced_server.address) as client:
             answers, trace_id = client.query_batch_traced(pairs)
             assert answers == expected
-            # The trace is offered *after* the reply flush (the flush
-            # span has to be timed first), so give the server thread a
-            # beat to land it in the sampler.
-            deadline = time.monotonic() + 5.0
-            ours = []
-            while not ours and time.monotonic() < deadline:
-                traces = client.traces()
-                ours = [t for t in traces if t["trace_id"] == trace_id]
-                if not ours:
-                    time.sleep(0.01)
+            ours, traces = _wait_for_trace(
+                client, lambda t: t["trace_id"] == trace_id
+            )
         assert ours, f"trace {trace_id} not retained among {len(traces)}"
         doc = ours[0]
         assert doc["origin"] == "client"
@@ -82,8 +92,10 @@ class TestWireTracing:
         _, pairs, expected = artifact
         with ReachClient(*traced_server.address) as client:
             assert client.query_batch(pairs) == expected
-            traces = client.traces()
-        assert any(t["origin"] == "server" for t in traces)
+            ours, traces = _wait_for_trace(
+                client, lambda t: t["origin"] == "server"
+            )
+        assert ours, f"no server-origin trace among {len(traces)}"
 
     def test_stats_v2_reports_sampled_histograms(self, traced_server, artifact):
         _, pairs, _ = artifact
@@ -99,7 +111,7 @@ class TestWireTracing:
 
     def test_traced_query_works_with_telemetry_off(self, artifact):
         path, pairs, expected = artifact
-        service = QueryService(path, workers=0, telemetry=False).start()
+        service = QueryService(path, telemetry=False).start()
         server = ReachServer(service, owns_service=True).start()
         try:
             with ReachClient(*server.address) as client:
@@ -127,7 +139,7 @@ class _BoomStats:
 class TestStatsDegradation:
     def test_broken_subsection_is_named_not_swallowed(self, artifact):
         path, pairs, expected = artifact
-        service = QueryService(path, workers=0, telemetry=_sample_all()).start()
+        service = QueryService(path, telemetry=_sample_all()).start()
         try:
             service._oracle = _BoomStats(service._oracle)
             assert service.query_pairs(pairs) == expected  # serving survives
@@ -143,7 +155,7 @@ class TestStatsDegradation:
 @pytest.fixture()
 def http_server(artifact):
     path, _, _ = artifact
-    service = QueryService(path, workers=0, telemetry=_sample_all()).start()
+    service = QueryService(path, telemetry=_sample_all()).start()
     http = HttpFrontend(service).start()
     yield service, http
     http.close()

@@ -160,7 +160,7 @@ class TestServeLifecycle:
 
         g = self._cyclic_graph()
         r = Reachability(g)
-        server = r.serve()  # workers=0, ephemeral port
+        server = r.serve()  # ephemeral port
         try:
             pairs = [(u, v) for u in range(g.n) for v in range(g.n)]
             expected = [bool(a) for a in r.query_batch(pairs)]
@@ -168,24 +168,6 @@ class TestServeLifecycle:
                 assert client.query_batch(pairs) == expected
         finally:
             server.close()
-
-    def test_serve_with_workers_saves_and_cleans_temp_artifact(self):
-        import os
-
-        from repro.server import ReachClient
-
-        g = self._cyclic_graph()
-        r = Reachability(g)
-        server = r.serve(workers=1)
-        temp_paths = list(server.cleanup_paths)
-        try:
-            assert len(temp_paths) == 1 and os.path.exists(temp_paths[0])
-            pairs = [(0, 5), (5, 0), (1, 0), (3, 2)]
-            with ReachClient(*server.address) as client:
-                assert client.query_batch(pairs) == [True, False, True, False]
-        finally:
-            server.close()
-        assert not os.path.exists(temp_paths[0])
 
     def test_serve_mode_facade_reuses_its_artifact(self, tmp_path):
         from repro.server import ReachClient
@@ -195,26 +177,15 @@ class TestServeLifecycle:
         r = Reachability(g)
         r.save(path)
         served = Reachability.load(path)
-        server = served.serve(workers=1)
+        server = served.serve()
         try:
             assert server.cleanup_paths == []  # no temp file needed
-            assert server.service.artifact_path == path
+            # ...and no second mapping: the loaded facade itself answers
+            assert server.service.artifact_path is None
             with ReachClient(*server.address) as client:
                 assert client.query(0, 5) is True
         finally:
             server.close()
-
-    def test_serve_mode_with_deleted_artifact_raises_clearly(self, tmp_path):
-        import os
-
-        import pytest
-
-        path = str(tmp_path / "p.rpro")
-        Reachability(self._cyclic_graph()).save(path)
-        served = Reachability.load(path, mmap=False)  # no mapping held
-        os.unlink(path)
-        with pytest.raises(FileNotFoundError, match="no longer exists"):
-            served.serve(workers=1)
 
 
 class TestServeRestartAfterClose:
@@ -242,19 +213,12 @@ class TestServeRestartAfterClose:
         self._roundtrip(r.serve())
         self._roundtrip(r.serve())
 
-    def test_build_mode_worker_pool_restarts(self):
-        # The first close() deletes the temp artifact its pool mapped;
-        # a re-serve must save a fresh one, not trip over the old path.
-        r = Reachability(self._graph(), "DL")
-        self._roundtrip(r.serve(workers=2))
-        self._roundtrip(r.serve(workers=2))
-
     def test_serve_mode_facade_restarts(self, tmp_path):
         path = str(tmp_path / "p.rpro")
         Reachability(self._graph(), "DL").save(path)
         served = Reachability.load(path)
-        self._roundtrip(served.serve(workers=2))
-        self._roundtrip(served.serve(workers=2))
+        self._roundtrip(served.serve())
+        self._roundtrip(served.serve())
 
     def test_live_serve_restarts_and_keeps_updates(self):
         import pytest
