@@ -45,22 +45,29 @@ class ReachClient:
     """Blocking binary-protocol client: one request in flight at a time.
 
     Deadlines: ``connect_timeout`` bounds connection establishment,
-    ``timeout`` bounds each request round-trip (both default 30 s; a
-    hung server raises ``socket.timeout`` instead of blocking forever).
+    ``timeout`` bounds each request round-trip (both default 30 s), so
+    a hung server never blocks a call forever.  What a failure raises
+    depends on the path:
 
-    Transient socket failures — a RST from a restarting server, an
-    idle-connection drop, a frame cut mid-stream — do not surface for
-    *idempotent* requests: the client reconnects with bounded
-    exponential backoff and re-sends, up to ``reconnect_attempts``
-    times, before raising ``ConnectionError``.  That covers
-    query/ping/stats/epoch/ship *and* the default ``update`` path: each
-    client carries a ``client_id`` and stamps every update batch with a
-    monotonically increasing sequence number (``OP_UPDATE_SEQ``), so a
-    re-send after a lost ack dedupes server-side instead of applying
-    the edges twice.  Only ``update(..., idempotent=False)`` (the
-    legacy un-sequenced ``OP_UPDATE``, for pre-PR-7 servers) and
-    ``shutdown_server`` fail immediately on a transport error, leaving
-    the re-send decision to the caller.
+    * The constructor dials eagerly and raises the socket error itself:
+      ``socket.timeout`` once ``connect_timeout`` runs out on a dial
+      that goes nowhere, ``ConnectionRefusedError`` on a refused port.
+    * *Idempotent* requests ride out transient transport failures — a
+      RST from a restarting server, an idle-connection drop, a frame
+      cut mid-stream, a round-trip past ``timeout``: the client
+      reconnects with bounded exponential backoff and re-sends, up to
+      ``reconnect_attempts`` times, then raises ``ConnectionError``
+      (also when the server hangs).  That covers
+      query/ping/stats/epoch/ship *and* the default ``update`` path:
+      each client carries a ``client_id`` and stamps every update batch
+      with a monotonically increasing sequence number
+      (``OP_UPDATE_SEQ``), so a re-send after a lost ack dedupes
+      server-side instead of applying the edges twice.
+    * Only the non-retryable ops — ``update(..., idempotent=False)``
+      (the legacy un-sequenced ``OP_UPDATE``, for servers that predate
+      sequenced updates) and ``shutdown_server`` — re-raise the raw
+      socket error (``socket.timeout`` on a hung server) at once,
+      leaving the re-send decision to the caller.
     """
 
     def __init__(

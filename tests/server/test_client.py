@@ -170,19 +170,42 @@ class TestReconnect:
                         reconnect_attempts=0)
 
     def test_connect_timeout_bounds_the_first_dial(self):
+        import socket
         import time
 
         from repro.server import ReachClient
 
-        # RFC 5737 TEST-NET: packets go nowhere, the dial must time out.
-        client = ReachClient(
-            "192.0.2.1", 7430, connect_timeout=0.3, reconnect_attempts=0
-        )
-        t0 = time.monotonic()
-        with pytest.raises(ConnectionError):
-            client.ping()
-        assert time.monotonic() - t0 < 5.0
-        client.close()
+        # A loopback listener whose accept queue is full drops further
+        # SYNs, so a dial to it goes nowhere on any host, with or
+        # without a network.  listen(0) and no accept(): fill the queue
+        # until one dial times out, which proves later SYNs are dropped.
+        listener = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
+        fillers = []
+        try:
+            listener.bind(("127.0.0.1", 0))
+            listener.listen(0)
+            address = listener.getsockname()
+            for _ in range(16):
+                try:
+                    fillers.append(
+                        socket.create_connection(address, timeout=0.2)
+                    )
+                except socket.timeout:
+                    break
+            else:
+                pytest.fail("the listener kept answering: queue never filled")
+
+            # The client dials eagerly, so the constructor is the first
+            # dial; a hung dial raises socket.timeout after connect_timeout.
+            t0 = time.monotonic()
+            with pytest.raises(socket.timeout):
+                ReachClient(*address, connect_timeout=0.3,
+                            reconnect_attempts=0)
+            assert time.monotonic() - t0 < 5.0
+        finally:
+            for sock in fillers:
+                sock.close()
+            listener.close()
 
     def test_unsequenced_updates_are_never_retried_across_reconnects(
         self, served
